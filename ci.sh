@@ -77,7 +77,7 @@ with open(sys.argv[1], "wb") as f:
     f.write(out)
 PYEOF
 for tier in $tiers; do
-    echo "    tier $tier: forced selection, core suite, net loopback, CLI output"
+    echo "    tier $tier: forced selection, core suite, net loopback, aggregation oracle, CLI output"
     # Forcing a tier the host supports must activate exactly that tier —
     # a silent downgrade here would mean the matrix no longer tests what
     # it claims to.
@@ -88,6 +88,7 @@ for tier in $tiers; do
     fi
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc
     THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-net --test loopback
+    THREELC_CODEC_IMPL="$tier" cargo test -q --offline -p threelc-distsim --test aggregate_identity
     THREELC_CODEC_IMPL="$tier" "$threelc" compress "$matrixdir/input.f32" \
         "$matrixdir/$tier.3lc" --sparsity 1.5 >"$matrixdir/$tier.compress.log"
     grep -q "codec: $tier" "$matrixdir/$tier.compress.log"
@@ -341,83 +342,56 @@ rc=0
 wait "$w1" || rc=$?
 echo "    --max-rejoins 0 aborts on the injected fault; gate holds both ways"
 
-echo "==> aggregation-mode matrix (per-mode crc: serve == simulate; exact == f32)"
+echo "==> server aggregation (one path: serve == simulate, clean and resumed)"
 aggdir=target/agg-smoke
 rm -rf "$aggdir"
 mkdir -p "$aggdir"
-# The per-mode loopback and chaos integration tests ride along here, so
-# both non-default modes re-run the in-process net suite as well as the
-# shell-level crc comparison below.
-cargo test -q --offline -p threelc-net --test loopback --test faults
-for mode in f32 exact compressed; do
-    "$threelc" simulate "${chaos_flags[@]}" --aggregate "$mode" \
-        >"$aggdir/sim-$mode.txt"
-    mode_sim_crc="$(crc_of "$aggdir/sim-$mode.txt")"
-    if [ -z "$mode_sim_crc" ]; then
-        echo "--aggregate $mode simulate printed no fingerprint" >&2
-        exit 1
-    fi
-    port=$((20000 + RANDOM % 20000))
-    addr="127.0.0.1:$port"
-    "$threelc" serve --addr "$addr" "${chaos_flags[@]}" --aggregate "$mode" \
-        >"$aggdir/serve-$mode.log" &
-    serve_pid=$!
-    "$threelc" worker --addr "$addr" --id 0 >"$aggdir/w0-$mode.log" &
-    w0=$!
-    "$threelc" worker --addr "$addr" --id 1 >"$aggdir/w1-$mode.log" &
-    w1=$!
-    wait "$w0"
-    wait "$w1"
-    wait "$serve_pid"
-    mode_net_crc="$(crc_of "$aggdir/serve-$mode.log")"
-    if [ "$mode_net_crc" != "$mode_sim_crc" ]; then
-        echo "--aggregate $mode: serve crc $mode_net_crc != simulate crc $mode_sim_crc" >&2
-        exit 1
-    fi
-    echo "    $mode: crc $mode_net_crc matches the simulator"
-done
-# Exact mode is the default and bit-identical to the seed f32 path, so
-# the f32 and exact fingerprints — and the default-mode chaos baseline
-# above — must all be one value.
-if [ "$(crc_of "$aggdir/sim-f32.txt")" != "$(crc_of "$aggdir/sim-exact.txt")" ]; then
-    echo "exact-mode model diverged from the f32 aggregation path" >&2
-    exit 1
-fi
-if [ "$(crc_of "$aggdir/sim-exact.txt")" != "$sim_crc" ]; then
-    echo "default aggregation no longer matches exact mode" >&2
-    exit 1
-fi
-echo "    f32 == exact == default: bit-identity holds at the model level"
-
-# kill@2 + --rejoin under --aggregate compressed: replay-based resync
-# must land exactly on the compressed-mode simulator model too.
+# A fault-free serve must land exactly on the simulator's model.
 port=$((20000 + RANDOM % 20000))
 addr="127.0.0.1:$port"
-"$threelc" serve --addr "$addr" "${chaos_flags[@]}" --aggregate compressed \
+"$threelc" serve --addr "$addr" "${chaos_flags[@]}" >"$aggdir/serve.log" &
+serve_pid=$!
+"$threelc" worker --addr "$addr" --id 0 >"$aggdir/w0.log" &
+w0=$!
+"$threelc" worker --addr "$addr" --id 1 >"$aggdir/w1.log" &
+w1=$!
+wait "$w0"
+wait "$w1"
+wait "$serve_pid"
+if [ "$(crc_of "$aggdir/serve.log")" != "$sim_crc" ]; then
+    echo "clean serve diverged: crc $(crc_of "$aggdir/serve.log") != simulate crc $sim_crc" >&2
+    exit 1
+fi
+echo "    clean serve: crc matches the simulator"
+
+# kill@2 + --rejoin with codec threads on every role: replay-based resync
+# must land on the same model as the single-threaded simulator.
+port=$((20000 + RANDOM % 20000))
+addr="127.0.0.1:$port"
+"$threelc" serve --addr "$addr" "${chaos_flags[@]}" --threads 2 \
     >"$aggdir/kill-serve.log" &
 serve_pid=$!
-"$threelc" worker --addr "$addr" --id 0 --inject-fault kill@2 \
-    --aggregate compressed >"$aggdir/kill-w0.log" &
+"$threelc" worker --addr "$addr" --id 0 --inject-fault kill@2 --threads 2 \
+    >"$aggdir/kill-w0.log" &
 w0=$!
-"$threelc" worker --addr "$addr" --id 1 --aggregate compressed \
-    >"$aggdir/kill-w1.log" &
+"$threelc" worker --addr "$addr" --id 1 --threads 2 >"$aggdir/kill-w1.log" &
 w1=$!
 rc=0
 wait "$w0" || rc=$?
 if [ "$rc" != 43 ]; then
-    echo "compressed kill@2 worker exited $rc, expected the kill exit code 43" >&2
+    echo "threaded kill@2 worker exited $rc, expected the kill exit code 43" >&2
     exit 1
 fi
-"$threelc" worker --addr "$addr" --id 0 --rejoin >"$aggdir/kill-w0b.log" &
+"$threelc" worker --addr "$addr" --id 0 --rejoin --threads 2 >"$aggdir/kill-w0b.log" &
 w0b=$!
 wait "$w0b"
 wait "$w1"
 wait "$serve_pid"
-if [ "$(crc_of "$aggdir/kill-serve.log")" != "$(crc_of "$aggdir/sim-compressed.txt")" ]; then
-    echo "compressed kill@2 + --rejoin diverged from the simulator" >&2
+if [ "$(crc_of "$aggdir/kill-serve.log")" != "$sim_crc" ]; then
+    echo "threaded kill@2 + --rejoin diverged from the simulator" >&2
     exit 1
 fi
-echo "    compressed kill@2 + --rejoin resumed; crc matches the simulator"
+echo "    threaded kill@2 + --rejoin resumed; crc matches the simulator"
 
 echo "==> policy smoke (adaptive multipliers: deterministic and non-constant)"
 policydir=target/policy-smoke

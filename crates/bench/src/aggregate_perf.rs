@@ -1,24 +1,20 @@
 //! Server aggregate-phase measurement and its CI gate.
 //!
-//! The compressed-domain aggregation rewrite claims the server spends
-//! less time turning accepted pushes into a mean gradient: the `exact`
-//! path accumulates worker-order float sums straight from decoded
-//! symbols (no per-worker tensor allocation, no separate dequantize
-//! pass), and the `compressed` path defers the float multiply to one
-//! pass per scale group. [`measure`] prices all three modes on the same
-//! 4-worker workload and the gate holds the rewrite to its claim:
-//! `exact` must beat the f32 path's aggregate phase, both within the
-//! fresh report (same host, same process) and against the
-//! calibration-scaled baseline.
+//! The server aggregates accepted pushes one way: worker-order float sums
+//! accumulated straight from decoded symbols (no per-worker tensor
+//! allocation, no separate dequantize pass). [`measure`] prices that path
+//! serially on a 4-worker workload, and the gate holds it to its claim
+//! against the checked-in baseline: it must beat the calibration-scaled
+//! decode-then-sum (`f32`) row recorded there, and may not regress more
+//! than [`MAX_REGRESSION`] past its own scaled row. Baselines written by
+//! earlier builds carry rows for retired modes and thread counts; the
+//! gate reads only the serial `f32` and `exact` rows.
 //!
 //! The aggregate phase is read from the engine's own telemetry
 //! (`engine.aggregate.symbol_decode_seconds` +
 //! `engine.aggregate.accumulate_seconds` histogram deltas around the
 //! timed loop) rather than re-instrumented here, so the bench measures
-//! exactly what `threelc analyze` attributes. Histogram sums are CPU
-//! seconds summed across shards, so multi-thread samples report
-//! aggregate CPU cost, not wall time; the gate therefore only judges
-//! the serial (`threads = 1`) samples, where the two coincide.
+//! exactly what `threelc analyze` attributes.
 
 use crate::perf::calibrate;
 use serde::{Deserialize, Serialize};
@@ -26,7 +22,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use threelc_baselines::SchemeKind;
 use threelc_distsim::engine::{Problem, ServerCore, WorkerReplica};
-use threelc_distsim::{AggregateMode, ExperimentConfig};
+use threelc_distsim::ExperimentConfig;
 
 /// Workers in the bench workload (the ISSUE's 4-worker reference shape).
 pub const WORKERS: usize = 4;
@@ -36,30 +32,29 @@ pub const WORKERS: usize = 4;
 pub const WIDTH: usize = 256;
 /// Residual blocks in the bench model.
 pub const BLOCKS: usize = 2;
-/// Thread counts measured. Only the serial samples are gated (see the
-/// module docs); the 4-thread samples are recorded for the sharded
-/// aggregate-CPU picture.
-pub const THREADS: [usize; 2] = [1, 4];
+/// The mode name the measured path is recorded under: baselines written
+/// before aggregation had one path name it `exact`.
+pub const MODE: &str = "exact";
 /// `apply_step` calls folded into one timed sample.
 const STEP_BATCH: usize = 8;
-/// Allowed fractional regression of a mode's aggregate phase against
+/// Allowed fractional regression of the aggregate phase against
 /// the calibration-scaled baseline. As loose as the policy gate's
 /// decide threshold: the measured quantity is microseconds per step,
 /// where scheduler noise is proportionally large.
 pub const MAX_REGRESSION: f64 = 0.5;
 
-/// One (mode, threads) measurement.
+/// One (mode, threads) measurement row.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModeSample {
-    /// Aggregation mode name (`f32`, `exact`, `compressed`).
+    /// Aggregation path name: [`MODE`] for fresh samples; baselines may
+    /// also carry rows for the retired `f32` and `compressed` modes.
     pub mode: String,
-    /// Server shard budget for this sample.
+    /// Server thread budget for this sample (1 for fresh samples).
     pub threads: usize,
     /// Best-of-N wall nanoseconds for one full `apply_step`.
     pub step_ns: f64,
     /// Best-of-N per-step CPU nanoseconds decoding payloads to symbols
-    /// (or to floats, on the f32 path — recorded under the same
-    /// histogram for comparability).
+    /// (or to floats, for schemes without a symbol form).
     pub symbol_decode_ns: f64,
     /// Best-of-N per-step CPU nanoseconds accumulating the decoded
     /// pushes into the mean gradient.
@@ -81,11 +76,11 @@ pub struct AggregateBenchReport {
     pub width: usize,
     /// Residual blocks of the measured workload.
     pub blocks: usize,
-    /// One sample per mode × thread count.
+    /// The measured samples (one serial [`MODE`] row when fresh).
     pub samples: Vec<ModeSample>,
 }
 
-fn bench_config(mode: AggregateMode, width: usize, blocks: usize) -> ExperimentConfig {
+fn bench_config(width: usize, blocks: usize) -> ExperimentConfig {
     ExperimentConfig {
         scheme: SchemeKind::three_lc(1.0),
         workers: WORKERS,
@@ -95,27 +90,19 @@ fn bench_config(mode: AggregateMode, width: usize, blocks: usize) -> ExperimentC
         model_blocks: blocks,
         eval_every: 0,
         seed: 11,
-        aggregate: mode,
         ..Default::default()
     }
 }
 
-/// Prices one (mode, threads) cell: builds the problem, has each worker
+/// Prices the aggregate phase: builds the problem, has each worker
 /// encode one realistic push, then times `apply_step` replaying those
 /// payloads. Decode purity makes the replay legitimate — the server
 /// does identical aggregate-phase work every call; only its model and
 /// schedule advance.
-fn measure_mode(
-    mode: AggregateMode,
-    threads: usize,
-    reps: usize,
-    w: usize,
-    b: usize,
-) -> ModeSample {
-    let config = bench_config(mode, w, b);
+fn measure_sample(reps: usize, w: usize, b: usize) -> ModeSample {
+    let config = bench_config(w, b);
     let problem = Problem::build(&config);
     let mut server = ServerCore::new(&problem);
-    server.set_threads(threads);
 
     let mut payloads = Vec::with_capacity(config.workers);
     let mut residual_l2 = 0.0f64;
@@ -151,8 +138,8 @@ fn measure_mode(
         acc_ns = acc_ns.min((accumulate_h.snapshot().sum - a0) * per);
     }
     ModeSample {
-        mode: mode.name().to_string(),
-        threads,
+        mode: MODE.to_string(),
+        threads: 1,
         step_ns,
         symbol_decode_ns: decode_ns,
         accumulate_ns: acc_ns,
@@ -161,16 +148,7 @@ fn measure_mode(
 }
 
 fn measure_sized(reps: usize, width: usize, blocks: usize) -> AggregateBenchReport {
-    let mut samples = Vec::new();
-    for mode in [
-        AggregateMode::F32,
-        AggregateMode::Exact,
-        AggregateMode::Compressed,
-    ] {
-        for threads in THREADS {
-            samples.push(measure_mode(mode, threads, reps, width, blocks));
-        }
-    }
+    let samples = vec![measure_sample(reps, width, blocks)];
     AggregateBenchReport {
         host_cpus: threelc::parallel::available_threads(),
         calibration_ns: calibrate(reps),
@@ -181,7 +159,7 @@ fn measure_sized(reps: usize, width: usize, blocks: usize) -> AggregateBenchRepo
     }
 }
 
-/// Measures every mode × thread-count cell, best of `reps`.
+/// Measures the serial aggregate phase, best of `reps`.
 pub fn measure(reps: usize) -> AggregateBenchReport {
     measure_sized(reps, WIDTH, BLOCKS)
 }
@@ -215,21 +193,13 @@ impl AggregateBenchReport {
                 s.mode, s.threads, s.step_ns, s.symbol_decode_ns, s.accumulate_ns, s.aggregate_ns
             );
         }
-        if let (Some(f32s), Some(exact)) = (self.sample("f32", 1), self.sample("exact", 1)) {
-            let _ = writeln!(
-                out,
-                "exact aggregate speedup over f32 (serial): {:.2}×",
-                f32s.aggregate_ns / exact.aggregate_ns
-            );
-        }
         out
     }
 }
 
-/// Compares `current` against `baseline`: the `exact` aggregate phase
-/// must beat the f32 path both within the fresh report and against the
-/// calibration-scaled baseline, and no mode's serial aggregate phase
-/// may regress more than [`MAX_REGRESSION`] past its scaled baseline.
+/// Compares `current` against `baseline`: the serial aggregate phase
+/// must beat the baseline's calibration-scaled serial `f32` row, and may
+/// not regress more than [`MAX_REGRESSION`] past its own scaled row.
 ///
 /// # Errors
 ///
@@ -239,7 +209,6 @@ pub fn gate(
     current: &AggregateBenchReport,
     baseline: &AggregateBenchReport,
 ) -> Result<String, String> {
-    let mut violations = Vec::new();
     if (current.workers, current.width, current.blocks)
         != (baseline.workers, baseline.width, baseline.blocks)
     {
@@ -263,52 +232,38 @@ pub fn gate(
             format!("report is missing the serial `{mode}` sample; re-run bench_aggregate")
         })
     };
-    let (f32_now, exact_now) = match (need(current, "f32"), need(current, "exact")) {
+    let now = need(current, MODE)?;
+    let (f32_base, base) = match (need(baseline, "f32"), need(baseline, MODE)) {
         (Ok(f), Ok(e)) => (f, e),
         (Err(e), _) | (_, Err(e)) => return Err(e),
     };
-    if exact_now.aggregate_ns <= 0.0 || exact_now.aggregate_ns >= f32_now.aggregate_ns {
+    let mut violations = Vec::new();
+    let bar = f32_base.aggregate_ns * scale;
+    if now.aggregate_ns <= 0.0 || now.aggregate_ns >= bar {
         violations.push(format!(
-            "exact aggregate phase does not beat f32 on this host: {:.0} ns vs {:.0} ns per step",
-            exact_now.aggregate_ns, f32_now.aggregate_ns
+            "aggregate phase lost to the calibration-scaled f32 baseline: \
+             {:.0} ns vs {:.0} (baseline {:.0} × host scale {:.2})",
+            now.aggregate_ns, bar, f32_base.aggregate_ns, scale
         ));
     }
-    match need(baseline, "f32") {
-        Ok(f32_base) => {
-            let bar = f32_base.aggregate_ns * scale;
-            if exact_now.aggregate_ns >= bar {
-                violations.push(format!(
-                    "exact aggregate phase lost to the calibration-scaled f32 baseline: \
-                     {:.0} ns vs {:.0} (baseline {:.0} × host scale {:.2})",
-                    exact_now.aggregate_ns, bar, f32_base.aggregate_ns, scale
-                ));
-            }
-        }
-        Err(e) => violations.push(e),
-    }
-    for mode in ["f32", "exact", "compressed"] {
-        let (Some(now), Some(base)) = (current.sample(mode, 1), baseline.sample(mode, 1)) else {
-            continue; // missing-sample errors are reported above for the gated modes
-        };
-        let allowed = base.aggregate_ns * scale * (1.0 + MAX_REGRESSION);
-        if now.aggregate_ns > allowed {
-            violations.push(format!(
-                "{mode} aggregate phase regressed: {:.0} ns/step vs allowed {:.0} \
-                 (baseline {:.0} × host scale {:.2} × {:.0}%)",
-                now.aggregate_ns,
-                allowed,
-                base.aggregate_ns,
-                scale,
-                (1.0 + MAX_REGRESSION) * 100.0
-            ));
-        }
+    let allowed = base.aggregate_ns * scale * (1.0 + MAX_REGRESSION);
+    if now.aggregate_ns > allowed {
+        violations.push(format!(
+            "aggregate phase regressed: {:.0} ns/step vs allowed {:.0} \
+             (baseline {:.0} × host scale {:.2} × {:.0}%)",
+            now.aggregate_ns,
+            allowed,
+            base.aggregate_ns,
+            scale,
+            (1.0 + MAX_REGRESSION) * 100.0
+        ));
     }
     if violations.is_empty() {
         Ok(format!(
-            "aggregate bench gate passed: exact {:.0} ns/step beats f32 {:.0} ns/step ({:.2}×)",
-            exact_now.aggregate_ns,
-            f32_now.aggregate_ns,
-            f32_now.aggregate_ns / exact_now.aggregate_ns
+            "aggregate bench gate passed: {:.0} ns/step beats the scaled f32 baseline {:.0} ns/step ({:.2}×)",
+            now.aggregate_ns,
+            bar,
+            bar / now.aggregate_ns
         ))
     } else {
         Err(violations.join("\n"))
@@ -330,78 +285,95 @@ mod tests {
         }
     }
 
-    fn report(f32_ns: f64, exact_ns: f64, compressed_ns: f64) -> AggregateBenchReport {
+    /// A current report: the one fresh serial sample.
+    fn current(exact_ns: f64) -> AggregateBenchReport {
         AggregateBenchReport {
             host_cpus: 4,
             calibration_ns: 1000.0,
             workers: WORKERS,
             width: WIDTH,
             blocks: BLOCKS,
-            samples: vec![
-                sample("f32", 1, f32_ns),
-                sample("exact", 1, exact_ns),
-                sample("compressed", 1, compressed_ns),
-            ],
+            samples: vec![sample(MODE, 1, exact_ns)],
         }
     }
 
+    /// A baseline in the shape earlier builds wrote: every retired mode
+    /// and thread count alongside the serial `exact` row.
+    fn baseline(f32_ns: f64, exact_ns: f64) -> AggregateBenchReport {
+        let mut r = current(exact_ns);
+        r.samples = vec![
+            sample("f32", 1, f32_ns),
+            sample("f32", 4, f32_ns * 0.1),
+            sample(MODE, 1, exact_ns),
+            sample(MODE, 4, exact_ns * 0.1),
+            sample("compressed", 1, exact_ns * 0.1),
+        ];
+        r
+    }
+
     #[test]
-    fn gate_accepts_exact_beating_f32() {
-        let r = report(1000.0, 600.0, 400.0);
-        let summary = gate(&r, &r).expect("identical reports pass");
+    fn gate_accepts_beating_the_f32_baseline() {
+        let summary = gate(&current(600.0), &baseline(1000.0, 600.0)).expect("passes");
         assert!(summary.contains("passed"), "{summary}");
         assert!(summary.contains("1.67×"), "{summary}");
     }
 
     #[test]
-    fn gate_rejects_exact_losing_to_f32() {
-        let bad = report(1000.0, 1200.0, 400.0);
-        let err = gate(&bad, &report(1000.0, 600.0, 400.0)).unwrap_err();
-        assert!(err.contains("does not beat f32"), "{err}");
-    }
-
-    #[test]
     fn gate_rejects_losing_to_the_scaled_f32_baseline() {
         // A faster host (calibration 500 vs 1000) halves the baseline
-        // bar: exact at 700 ns beats the local f32 (1500) but not the
-        // scaled baseline f32 (1000 × 0.5 = 500).
-        let mut current = report(1500.0, 700.0, 400.0);
-        current.calibration_ns = 500.0;
-        let err = gate(&current, &report(1000.0, 600.0, 400.0)).unwrap_err();
+        // bar: 700 ns would beat the unscaled f32 row (1000) but not the
+        // scaled one (1000 × 0.5 = 500).
+        let mut now = current(700.0);
+        now.calibration_ns = 500.0;
+        let err = gate(&now, &baseline(1000.0, 600.0)).unwrap_err();
         assert!(err.contains("calibration-scaled f32 baseline"), "{err}");
     }
 
     #[test]
     fn gate_rejects_an_aggregate_regression() {
-        let slow = report(5000.0, 2000.0, 400.0);
-        let err = gate(&slow, &report(1000.0, 600.0, 400.0)).unwrap_err();
-        assert!(err.contains("exact aggregate phase regressed"), "{err}");
-        assert!(err.contains("f32 aggregate phase regressed"), "{err}");
+        let err = gate(&current(950.0), &baseline(1000.0, 600.0)).unwrap_err();
+        assert!(err.contains("aggregate phase regressed"), "{err}");
+        assert!(!err.contains("f32 baseline"), "{err}");
+    }
+
+    #[test]
+    fn gate_rejects_a_baseline_without_the_f32_row() {
+        let err = gate(&current(600.0), &current(600.0)).unwrap_err();
+        assert!(err.contains("serial `f32` sample"), "{err}");
     }
 
     #[test]
     fn gate_rejects_mismatched_workloads() {
-        let mut other = report(1000.0, 600.0, 400.0);
+        let mut other = baseline(1000.0, 600.0);
         other.width = 64;
-        let err = gate(&report(1000.0, 600.0, 400.0), &other).unwrap_err();
+        let err = gate(&current(600.0), &other).unwrap_err();
         assert!(err.contains("workloads differ"), "{err}");
+    }
+
+    #[test]
+    fn checked_in_baseline_loads_and_gates() {
+        let text = include_str!("../../../BENCH_pr10.json");
+        let base: AggregateBenchReport = serde_json::from_str(text).expect("baseline parses");
+        let mut now = current(base.sample(MODE, 1).expect("exact row").aggregate_ns);
+        now.calibration_ns = base.calibration_ns;
+        gate(&now, &base).expect("the baseline's own exact row passes");
     }
 
     #[test]
     fn measurement_holds_together_on_a_tiny_workload() {
         // One rep on a toy model keeps this cheap in a debug build; the
         // point is that the payload replay and histogram-delta plumbing
-        // work, not the release-build speedup (ci.sh gates that).
+        // work, not the release-build timing (ci.sh gates that).
         let r = measure_sized(1, 32, 1);
-        assert_eq!(r.samples.len(), 6);
-        for s in &r.samples {
-            assert!(s.step_ns > 0.0, "{s:?}");
-            assert!(s.aggregate_ns > 0.0, "{s:?}");
-            assert!(
-                (s.aggregate_ns - (s.symbol_decode_ns + s.accumulate_ns)).abs() < 1e-6,
-                "{s:?}"
-            );
-        }
+        assert_eq!(r.samples.len(), 1);
+        let s = &r.samples[0];
+        assert_eq!((s.mode.as_str(), s.threads), (MODE, 1));
+        assert!(s.step_ns > 0.0, "{s:?}");
+        assert!(s.aggregate_ns > 0.0, "{s:?}");
+        assert!(
+            (s.aggregate_ns - (s.symbol_decode_ns + s.accumulate_ns)).abs() < 1e-6,
+            "{s:?}"
+        );
         let rendered = r.render();
         assert!(rendered.contains("aggregate ns"), "{rendered}");
         let json = serde_json::to_string(&r).unwrap();

@@ -1,6 +1,6 @@
-//! Measures the server's aggregate phase under every aggregation mode
-//! and writes a machine-readable report (`BENCH_pr10.json` by default),
-//! or gates a fresh report against the checked-in baseline.
+//! Measures the server's serial aggregate phase and writes a
+//! machine-readable report (`BENCH_pr10.json` by default), or gates a
+//! fresh report against the checked-in baseline.
 //!
 //! Usage: `bench_aggregate [output.json] [--reps N]`
 //!        `bench_aggregate --gate <current.json> <baseline.json>`

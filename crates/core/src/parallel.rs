@@ -10,8 +10,7 @@
 //! the serial ones (the partition, not the scheduling, decides who
 //! computes what).
 //!
-//! The helpers here are shared by `ThreeLcCompressor`'s parallel
-//! encode/decode and by `threelc-distsim`'s sharded server aggregation.
+//! The helpers here serve `ThreeLcCompressor`'s parallel encode/decode.
 
 use std::ops::Range;
 

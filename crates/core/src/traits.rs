@@ -51,8 +51,8 @@ pub trait Compressor: Send {
     /// element count) and return `Ok(Some(scale))`, such that
     /// `decompress(payload)[e] == out[e] as f32 * scale` bit for bit.
     /// Servers use this to aggregate in the symbol domain — summing
-    /// `scale · sym` per worker, or integer symbol lanes per scale group —
-    /// without a per-worker tensor allocation and dequantize pass.
+    /// `scale · sym` per worker — without a per-worker tensor allocation
+    /// and dequantize pass.
     ///
     /// The default returns `Ok(None)`: the scheme has no symbol form and
     /// callers must fall back to [`decompress`](Self::decompress). `out`

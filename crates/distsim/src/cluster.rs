@@ -83,9 +83,9 @@ impl Cluster {
         &self.config
     }
 
-    /// Requests up to `threads` codec/aggregation threads cluster-wide
-    /// (`0` = one per hardware core): sharded server aggregation plus
-    /// chunk-parallel compression in every context. A pure performance
+    /// Requests up to `threads` codec threads cluster-wide (`0` = one per
+    /// hardware core): chunk-parallel compression in every worker and
+    /// server context. A pure performance
     /// hint — training dynamics are bit-identical at any setting, so the
     /// thread count is deliberately *not* part of [`ExperimentConfig`].
     pub fn set_threads(&mut self, threads: usize) {

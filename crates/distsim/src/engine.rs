@@ -21,12 +21,12 @@
 //! a pure function of the payload and the tensor shape: compression state
 //! (error-accumulation buffers, RNG draws) only affects `compress`.
 
-use crate::config::{AggregateMode, ExperimentConfig};
+use crate::config::ExperimentConfig;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
-use threelc::kernels::{self, CodecImpl};
-use threelc::parallel::{self, split_off_ranges, split_ranges};
+use threelc::kernels;
+use threelc::parallel;
 use threelc::{CompressionStats, Compressor, SparsityMultiplier};
 use threelc_baselines::{build_compressor, SchemeKind};
 use threelc_learning::{models, Batch, LrSchedule, Network, SgdMomentum, SyntheticImages};
@@ -159,6 +159,20 @@ pub enum EngineError {
         /// The step that had no accepted pushes.
         step: u64,
     },
+    /// A worker's payload for one tensor does not decode to that tensor:
+    /// a compressed body for a tensor that travels raw, a body its decode
+    /// context rejects, or a decode of the wrong length. Payloads from a
+    /// matching [`WorkerReplica`] never hit this; a hostile or buggy peer
+    /// of the networked server can, and the run then ends with a named
+    /// error instead of a panic.
+    BadPayload {
+        /// The step being aggregated.
+        step: u64,
+        /// The worker whose payload failed.
+        worker: usize,
+        /// The tensor whose payload failed.
+        tensor: usize,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -167,6 +181,14 @@ impl fmt::Display for EngineError {
             EngineError::NoAcceptedPushes { step } => write!(
                 f,
                 "step {step}: every worker's push was rejected; nothing to aggregate"
+            ),
+            EngineError::BadPayload {
+                step,
+                worker,
+                tensor,
+            } => write!(
+                f,
+                "step {step}: worker {worker}'s payload for tensor {tensor} does not decode"
             ),
         }
     }
@@ -345,8 +367,8 @@ pub struct ServerCore {
     prev_global: Vec<Tensor>,
     /// Per-*tensor*, per-worker push decode contexts (mirrors of the
     /// workers' compression contexts; decode is pure, so mirrors decode
-    /// identically). Tensor-major so sharded aggregation can hand each
-    /// shard a disjoint `&mut` block of tensor rows.
+    /// identically). Tensor-major: aggregation walks one tensor's row of
+    /// workers at a time.
     decode_ctxs: Vec<Vec<Option<Box<dyn Compressor>>>>,
     pull_ctxs: Vec<Option<Box<dyn Compressor>>>,
     optimizer: SgdMomentum,
@@ -362,193 +384,54 @@ pub struct ServerCore {
     /// Decisions governing the upcoming step (empty when static).
     current_decisions: Vec<Decision>,
     step: u64,
-    /// Shard-thread budget for [`Self::apply_step`] (1 = serial).
-    threads: usize,
     /// Cached handle into the global registry (see [`WorkerReplica`]).
     apply_seconds: Arc<Histogram>,
-    /// `engine.shard.busy_seconds` — per-shard busy time of sharded steps.
-    shard_busy: Arc<Histogram>,
-    /// `engine.shard.lock_wait_seconds` — time shards spent waiting on the
-    /// striped stats accumulators (the contention signal).
-    shard_lock_wait: Arc<Histogram>,
     /// `engine.aggregate.symbol_decode_seconds` — payload→symbol (or
-    /// payload→tensor, in f32 mode) decode time per aggregation pass (per
-    /// shard when sharded). With `engine.aggregate.accumulate_seconds`
-    /// this splits the aggregate phase so `threelc analyze` can attribute
-    /// symbol-domain wins to the right half.
+    /// payload→tensor) decode time per aggregation pass. With
+    /// `engine.aggregate.accumulate_seconds` this splits the aggregate
+    /// phase so `threelc analyze` can attribute time to the right half.
     aggregate_decode_seconds: Arc<Histogram>,
     /// `engine.aggregate.accumulate_seconds` — pure accumulate arithmetic
-    /// (dequantize-sum, integer lane sums, float adds) per aggregation
-    /// pass (per shard when sharded).
+    /// (dequantize-sums, float adds) per aggregation pass.
     aggregate_accumulate_seconds: Arc<Histogram>,
-}
-
-/// The largest accepted-worker count compressed-mode aggregation can sum
-/// in u16 symbol lanes: each worker contributes a biased digit ≤ 2 per
-/// lane, so 32767 workers max out at 65534 < 2¹⁶. Bigger steps fall back
-/// to exact mode (deterministically — the choice depends only on the
-/// accepted count, which replays identically).
-pub const MAX_COMPRESSED_LANE_WORKERS: usize = 32767;
-
-/// Reusable scratch for one aggregation pass: symbol buffers, scale-group
-/// tables, and widened integer lanes. One instance per pass (per shard
-/// when sharded) — tensors reuse the allocations instead of paying a
-/// per-worker `Tensor` per tensor per step like the f32 path.
-#[derive(Default)]
-struct AggScratch {
-    /// Current worker's decoded symbols (exact mode).
-    syms: Vec<i8>,
-    /// Per-accepted-member symbol buffers (compressed mode pass 1).
-    pool: Vec<Vec<i8>>,
-    /// Per-member payload scale, in worker order (compressed mode).
-    scales: Vec<f32>,
-    /// Distinct scale bit patterns in first-occurrence worker order: the
-    /// scale-grouping rule (DESIGN.md §16). Grouping by *bit pattern*
-    /// keeps `0.0` and `-0.0` apart, which preserves signed-zero products.
-    groups: Vec<u32>,
-    /// Member → group index, parallel to `scales`.
-    membership: Vec<usize>,
-    /// Widened u16 symbol lanes, 4 per u64 word.
-    lanes: Vec<u64>,
 }
 
 /// The aggregate phase's two-way timing split (DESIGN.md §16).
 #[derive(Default, Clone, Copy)]
 struct AggTimings {
-    /// Payload→symbol decode (payload→tensor in f32 mode).
+    /// Payload→symbol (or payload→tensor) decode.
     decode: f64,
-    /// Accumulate arithmetic: dequantize-sums, lane sums, float adds.
+    /// Accumulate arithmetic: dequantize-sums and float adds.
     accumulate: f64,
 }
 
-/// Decodes and averages one tensor's accepted pushes under `mode`.
+/// Decodes and averages one tensor's accepted pushes: the per-element
+/// worker-order float sum `Σ scale_w · sym_w`, divided by the accepted
+/// count. Payloads decode to i8 symbols, and each term is the one IEEE
+/// multiply `sym as f32 · scale` the dequantizer would have produced, so
+/// the result is bit-identical to decoding every payload to an f32
+/// [`Tensor`] and summing those in worker order — without the per-worker
+/// tensor allocations or a separate dequantize pass. The first accepted
+/// worker *assigns* (preserving `-0.0` products exactly as moving the
+/// first decoded tensor into the sum does); schemes without a symbol form
+/// fall back to dense decode per payload, accumulating the same floats.
 ///
-/// `ctx_row` holds the tensor's per-worker decode contexts; `stats`,
-/// `codec`, and `timings` accumulate the pass's bookkeeping. The caller
-/// guarantees at least one accepted worker ([`ServerCore::apply_step`]
-/// returns [`EngineError::NoAcceptedPushes`] otherwise) and, for
-/// [`AggregateMode::Compressed`], at most [`MAX_COMPRESSED_LANE_WORKERS`]
-/// of them.
-#[allow(clippy::too_many_arguments)] // one bookkeeping sink per output, shared by both shard layouts
+/// `ctx_row` holds the tensor's per-worker decode contexts; `stats` and
+/// `timings` accumulate the pass's bookkeeping. The caller
+/// guarantees at least one accepted worker. Returns the id of the first
+/// worker whose payload does not decode to this tensor's shape.
+#[allow(clippy::too_many_arguments)] // one bookkeeping sink per output
 fn aggregate_tensor(
-    mode: AggregateMode,
-    imp: CodecImpl,
     shape: &Shape,
     ctx_row: &[Option<Box<dyn Compressor>>],
     payloads: &[Vec<TensorPayload>],
     i: usize,
     accepted_count: usize,
-    scratch: &mut AggScratch,
+    syms: &mut Vec<i8>,
     stats: &mut CompressionStats,
-    codec: &mut f64,
     timings: &mut AggTimings,
-) -> Tensor {
-    match mode {
-        AggregateMode::F32 => aggregate_tensor_f32(
-            shape,
-            ctx_row,
-            payloads,
-            i,
-            accepted_count,
-            stats,
-            codec,
-            timings,
-        ),
-        AggregateMode::Exact => aggregate_tensor_exact(
-            imp,
-            shape,
-            ctx_row,
-            payloads,
-            i,
-            accepted_count,
-            scratch,
-            stats,
-            codec,
-            timings,
-        ),
-        AggregateMode::Compressed => aggregate_tensor_compressed(
-            imp,
-            shape,
-            ctx_row,
-            payloads,
-            i,
-            accepted_count,
-            scratch,
-            stats,
-            codec,
-            timings,
-        ),
-    }
-}
-
-/// The seed aggregation path: decode every accepted payload to an f32
-/// [`Tensor`], sum in worker order, divide by the accepted count.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_tensor_f32(
-    shape: &Shape,
-    ctx_row: &[Option<Box<dyn Compressor>>],
-    payloads: &[Vec<TensorPayload>],
-    i: usize,
-    accepted_count: usize,
-    stats: &mut CompressionStats,
-    codec: &mut f64,
-    timings: &mut AggTimings,
-) -> Tensor {
-    let mut sum: Option<Tensor> = None;
-    for (w, worker_payloads) in payloads.iter().enumerate() {
-        if worker_payloads.is_empty() {
-            continue; // dropped straggler
-        }
-        let grad = match &worker_payloads[i] {
-            TensorPayload::Compressed(wire) => {
-                let t0 = Instant::now();
-                let g = ctx_row[w]
-                    .as_ref()
-                    .expect("compressed payload implies a context")
-                    .decompress(wire)
-                    .expect("payload produced by matching context");
-                let dt = t0.elapsed().as_secs_f64();
-                *codec += dt;
-                timings.decode += dt;
-                stats.record(shape.num_elements(), wire.len());
-                g
-            }
-            TensorPayload::Raw(grad) => grad.clone(),
-        };
-        let a0 = Instant::now();
-        match &mut sum {
-            Some(s) => s.add_assign(&grad).expect("same shapes"),
-            None => sum = Some(grad),
-        }
-        timings.accumulate += a0.elapsed().as_secs_f64();
-    }
-    let mut avg = sum.expect("caller guarantees an accepted worker");
-    avg.scale_inplace(1.0 / accepted_count as f32);
-    avg
-}
-
-/// Exact-mode aggregation: decode payloads to i8 symbols and perform the
-/// same per-element worker-order float accumulation `Σ scale_w · sym_w`
-/// the f32 path computes — bit-identical to it (each term is the one IEEE
-/// multiply `sym as f32 · scale` the dequantizer would have produced, and
-/// the adds run in the same order), without per-worker tensor
-/// allocations or a separate dequantize pass. The first accepted worker
-/// *assigns* (preserving `-0.0` products exactly as moving the first
-/// decoded tensor into the sum did); schemes without a symbol form fall
-/// back to dense decode per payload, accumulating the same float values.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_tensor_exact(
-    imp: CodecImpl,
-    shape: &Shape,
-    ctx_row: &[Option<Box<dyn Compressor>>],
-    payloads: &[Vec<TensorPayload>],
-    i: usize,
-    accepted_count: usize,
-    scratch: &mut AggScratch,
-    stats: &mut CompressionStats,
-    codec: &mut f64,
-    timings: &mut AggTimings,
-) -> Tensor {
+) -> Result<Tensor, usize> {
+    let imp = kernels::active();
     let n = shape.num_elements();
     let mut acc = vec![0f32; n];
     let mut first = true;
@@ -558,36 +441,36 @@ fn aggregate_tensor_exact(
         }
         match &worker_payloads[i] {
             TensorPayload::Compressed(wire) => {
-                let ctx = ctx_row[w]
-                    .as_ref()
-                    .expect("compressed payload implies a context");
+                // A compressed payload for a raw-only tensor, or one that
+                // does not decode to this tensor's element count, is the
+                // sender's fault, never the server's.
+                let ctx = ctx_row[w].as_ref().ok_or(w)?;
                 let t0 = Instant::now();
-                match ctx
-                    .decompress_symbols(wire, &mut scratch.syms)
-                    .expect("payload produced by matching context")
-                {
+                match ctx.decompress_symbols(wire, syms).map_err(|_| w)? {
                     Some(scale) => {
                         let dt = t0.elapsed().as_secs_f64();
-                        *codec += dt;
                         timings.decode += dt;
+                        if syms.len() != n {
+                            return Err(w);
+                        }
                         stats.record(n, wire.len());
                         let a0 = Instant::now();
                         if first {
-                            kernels::dequant_assign(imp, &scratch.syms, scale, &mut acc);
+                            kernels::dequant_assign(imp, syms, scale, &mut acc);
                         } else {
-                            kernels::dequant_add(imp, &scratch.syms, scale, &mut acc);
+                            kernels::dequant_add(imp, syms, scale, &mut acc);
                         }
                         timings.accumulate += a0.elapsed().as_secs_f64();
                     }
                     None => {
                         // No symbol form (f32/baseline schemes): dense
                         // decode, then accumulate the identical floats.
-                        let g = ctx
-                            .decompress(wire)
-                            .expect("payload produced by matching context");
+                        let g = ctx.decompress(wire).map_err(|_| w)?;
                         let dt = t0.elapsed().as_secs_f64();
-                        *codec += dt;
                         timings.decode += dt;
+                        if g.len() != n {
+                            return Err(w);
+                        }
                         stats.record(n, wire.len());
                         let a0 = Instant::now();
                         accumulate_dense(g.as_slice(), first, &mut acc);
@@ -596,6 +479,9 @@ fn aggregate_tensor_exact(
                 }
             }
             TensorPayload::Raw(grad) => {
+                if grad.len() != n {
+                    return Err(w);
+                }
                 let a0 = Instant::now();
                 accumulate_dense(grad.as_slice(), first, &mut acc);
                 timings.accumulate += a0.elapsed().as_secs_f64();
@@ -607,12 +493,12 @@ fn aggregate_tensor_exact(
     let mut avg = Tensor::from_vec(acc, shape.clone());
     avg.scale_inplace(1.0 / accepted_count as f32);
     timings.accumulate += a0.elapsed().as_secs_f64();
-    avg
+    Ok(avg)
 }
 
-/// `acc = xs` (first worker) or `acc += xs`: the dense half of exact-mode
-/// accumulation, element-for-element what `Tensor::add_assign` (and
-/// moving the first tensor into the sum) computes.
+/// `acc = xs` (first worker) or `acc += xs`: the dense half of
+/// aggregation, element-for-element what `Tensor::add_assign` (and moving
+/// the first tensor into the sum) computes.
 fn accumulate_dense(xs: &[f32], first: bool, acc: &mut [f32]) {
     if first {
         acc.copy_from_slice(xs);
@@ -621,149 +507,6 @@ fn accumulate_dense(xs: &[f32], first: bool, acc: &mut [f32]) {
             *a += x;
         }
     }
-}
-
-/// Compressed-mode aggregation: group accepted workers by payload scale
-/// (bit pattern, first-occurrence worker order), sum each group's symbols
-/// in widened u16 integer lanes — exact, order-free integer arithmetic —
-/// and defer the float multiply to one drain pass per group. Group
-/// results combine in group order, so the whole computation is a
-/// deterministic function of the payloads alone: simulate, serve, and
-/// rejoin-replay reproduce it bit for bit (though it is *not*
-/// bit-identical to exact/f32 mode, whose float sums associate
-/// per-worker). Tensors whose payloads have no symbol form (raw small
-/// layers, baseline schemes) take the exact path instead.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_tensor_compressed(
-    imp: CodecImpl,
-    shape: &Shape,
-    ctx_row: &[Option<Box<dyn Compressor>>],
-    payloads: &[Vec<TensorPayload>],
-    i: usize,
-    accepted_count: usize,
-    scratch: &mut AggScratch,
-    stats: &mut CompressionStats,
-    codec: &mut f64,
-    timings: &mut AggTimings,
-) -> Tensor {
-    let n = shape.num_elements();
-    // Probe the first accepted payload: one scheme serves every worker of
-    // a tensor, so raw payloads or a scheme without a symbol form send
-    // the whole tensor down the exact path (before any stats are
-    // recorded). The probe is cheap — the no-symbol default returns
-    // `None` without decoding.
-    let probe = payloads.iter().enumerate().find(|(_, p)| !p.is_empty());
-    let symbolic = match probe {
-        Some((w, worker_payloads)) => match &worker_payloads[i] {
-            TensorPayload::Raw(_) => false,
-            TensorPayload::Compressed(wire) => ctx_row[w]
-                .as_ref()
-                .expect("compressed payload implies a context")
-                .decompress_symbols(wire, &mut scratch.syms)
-                .expect("payload produced by matching context")
-                .is_some(),
-        },
-        None => unreachable!("caller guarantees an accepted worker"),
-    };
-    if !symbolic {
-        return aggregate_tensor_exact(
-            imp,
-            shape,
-            ctx_row,
-            payloads,
-            i,
-            accepted_count,
-            scratch,
-            stats,
-            codec,
-            timings,
-        );
-    }
-
-    // Pass 1: decode every accepted worker's symbols and scale.
-    scratch.scales.clear();
-    let mut member = 0usize;
-    for (w, worker_payloads) in payloads.iter().enumerate() {
-        if worker_payloads.is_empty() {
-            continue; // dropped straggler
-        }
-        let wire = match &worker_payloads[i] {
-            TensorPayload::Compressed(wire) => wire,
-            TensorPayload::Raw(_) => {
-                unreachable!("payload kinds are uniform across workers for a tensor")
-            }
-        };
-        if scratch.pool.len() <= member {
-            scratch.pool.push(Vec::new());
-        }
-        let t0 = Instant::now();
-        let scale = ctx_row[w]
-            .as_ref()
-            .expect("compressed payload implies a context")
-            .decompress_symbols(wire, &mut scratch.pool[member])
-            .expect("payload produced by matching context")
-            .expect("symbol form is uniform across workers for a tensor");
-        let dt = t0.elapsed().as_secs_f64();
-        *codec += dt;
-        timings.decode += dt;
-        stats.record(n, wire.len());
-        scratch.scales.push(scale);
-        member += 1;
-    }
-
-    let a0 = Instant::now();
-    // Scale grouping: distinct bit patterns in first-occurrence order.
-    scratch.groups.clear();
-    scratch.membership.clear();
-    for &scale in &scratch.scales {
-        let bits = scale.to_bits();
-        let g = match scratch.groups.iter().position(|&b| b == bits) {
-            Some(g) => g,
-            None => {
-                scratch.groups.push(bits);
-                scratch.groups.len() - 1
-            }
-        };
-        scratch.membership.push(g);
-    }
-
-    // Pass 2: per group, integer lane sums then one deferred multiply.
-    let mut acc = vec![0f32; n];
-    let words = n.div_ceil(4);
-    for (g, &bits) in scratch.groups.iter().enumerate() {
-        scratch.lanes.clear();
-        scratch.lanes.resize(words, 0);
-        let mut members = 0u32;
-        for (m, syms) in scratch.pool[..scratch.membership.len()].iter().enumerate() {
-            if scratch.membership[m] == g {
-                kernels::symbol_lanes_add(imp, syms, &mut scratch.lanes);
-                members += 1;
-            }
-        }
-        let scale = f32::from_bits(bits);
-        if g == 0 {
-            kernels::symbol_lanes_drain_assign(imp, &scratch.lanes, members, scale, &mut acc);
-        } else {
-            kernels::symbol_lanes_drain_add(imp, &scratch.lanes, members, scale, &mut acc);
-        }
-    }
-    let mut avg = Tensor::from_vec(acc, shape.clone());
-    avg.scale_inplace(1.0 / accepted_count as f32);
-    timings.accumulate += a0.elapsed().as_secs_f64();
-    avg
-}
-
-/// A striped accumulator for the bookkeeping shards must share: traffic
-/// statistics (order-insensitive `u64` sums) and measured codec seconds.
-/// Stripes are deliberately fewer than shards so the lock-wait histogram
-/// actually observes contention; the model tensors themselves are never
-/// behind a lock — each shard owns a disjoint tensor range.
-type StatsStripe = Mutex<(CompressionStats, f64)>;
-
-fn stats_stripes(shards: usize) -> Vec<StatsStripe> {
-    (0..shards.div_ceil(2).max(1))
-        .map(|_| Mutex::new((CompressionStats::new(), 0.0)))
-        .collect()
 }
 
 impl ServerCore {
@@ -809,10 +552,7 @@ impl ServerCore {
             policy,
             current_decisions,
             step: 0,
-            threads: 1,
             apply_seconds: reg.histogram("engine.apply_step_seconds"),
-            shard_busy: reg.histogram("engine.shard.busy_seconds"),
-            shard_lock_wait: reg.histogram("engine.shard.lock_wait_seconds"),
             aggregate_decode_seconds: reg.histogram("engine.aggregate.symbol_decode_seconds"),
             aggregate_accumulate_seconds: reg.histogram("engine.aggregate.accumulate_seconds"),
             config,
@@ -829,33 +569,21 @@ impl ServerCore {
         &self.current_decisions
     }
 
-    /// Requests up to `threads` aggregation shards for [`Self::apply_step`]
-    /// (`0` = one per hardware core). The budget is also forwarded to every
-    /// decode and pull compression context. A pure performance hint: the
-    /// sharded step is bit-identical to the serial one (each shard owns a
-    /// disjoint tensor range, and per-tensor arithmetic keeps worker-id
-    /// order).
+    /// Requests up to `threads` codec worker threads for every decode and
+    /// pull compression context (`0` = one per hardware core). A pure
+    /// performance hint: aggregation itself always runs serially in
+    /// worker-id order, and the codec is bit-identical at any setting.
     pub fn set_threads(&mut self, threads: usize) {
         let threads = if threads == 0 {
             parallel::available_threads()
         } else {
             threads
         };
-        self.threads = threads;
         for ctx in self.decode_ctxs.iter_mut().flatten().flatten() {
             ctx.set_threads(threads);
         }
         for ctx in self.pull_ctxs.iter_mut().flatten() {
             ctx.set_threads(threads);
-        }
-    }
-
-    /// Shard count for a step over `n` tensors.
-    fn plan_shards(&self, n: usize) -> usize {
-        if self.threads <= 1 || n < 2 {
-            1
-        } else {
-            self.threads.min(n)
         }
     }
 
@@ -891,10 +619,75 @@ impl ServerCore {
         &self.pull_stats
     }
 
+    /// Decodes and averages the accepted pushes: the averaged gradient
+    /// [`Self::apply_step`] feeds the optimizer, plus the measured decode
+    /// CPU seconds. Every tensor is the worker-id-order float sum of the
+    /// decoded payloads divided by `accepted_count` — bit for bit what
+    /// decoding each payload to an f32 [`Tensor`] and summing those
+    /// computes (DESIGN.md §16).
+    ///
+    /// Only the push traffic statistics and the aggregate-phase histograms
+    /// change; the model, optimizer, and step counter are untouched, so
+    /// callers may aggregate a step before (or without) applying it.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::NoAcceptedPushes`] when every payload list is empty
+    /// or `accepted_count` is zero, and [`EngineError::BadPayload`] when a
+    /// payload does not decode to its tensor (push statistics are then
+    /// untouched too).
+    pub fn aggregate(
+        &mut self,
+        payloads: &[Vec<TensorPayload>],
+        accepted_count: usize,
+    ) -> Result<(Vec<Tensor>, f64), EngineError> {
+        if accepted_count == 0 || payloads.iter().all(|p| p.is_empty()) {
+            return Err(EngineError::NoAcceptedPushes { step: self.step });
+        }
+        let n_params = self.shapes.len();
+        if let Some(worker) = payloads
+            .iter()
+            .position(|p| !p.is_empty() && p.len() != n_params)
+        {
+            return Err(EngineError::BadPayload {
+                step: self.step,
+                worker,
+                tensor: n_params.min(payloads[worker].len()),
+            });
+        }
+        let mut syms = Vec::new();
+        let mut stats = CompressionStats::new();
+        let mut timings = AggTimings::default();
+        let mut aggregated = Vec::with_capacity(n_params);
+        for (i, (shape, ctx_row)) in self.shapes.iter().zip(&self.decode_ctxs).enumerate() {
+            let avg = aggregate_tensor(
+                shape,
+                ctx_row,
+                payloads,
+                i,
+                accepted_count,
+                &mut syms,
+                &mut stats,
+                &mut timings,
+            )
+            .map_err(|worker| EngineError::BadPayload {
+                step: self.step,
+                worker,
+                tensor: i,
+            })?;
+            aggregated.push(avg);
+        }
+        self.push_stats.merge(&stats);
+        self.aggregate_decode_seconds.record(timings.decode);
+        self.aggregate_accumulate_seconds.record(timings.accumulate);
+        Ok((aggregated, timings.decode))
+    }
+
     /// Executes one server step: decodes and averages the accepted pushes
-    /// (in worker-id order — float addition is not associative, so order
-    /// is part of the contract), applies SGD-with-momentum to the global
-    /// model, and compresses the resulting model delta for the pull path.
+    /// ([`Self::aggregate`], in worker-id order — float addition is not
+    /// associative, so order is part of the contract), applies
+    /// SGD-with-momentum to the global model, and compresses the resulting
+    /// model delta for the pull path.
     ///
     /// `payloads` holds one entry per worker in worker-id order; an empty
     /// vector marks a dropped straggler whose push is not aggregated.
@@ -909,37 +702,30 @@ impl ServerCore {
     ///
     /// Returns [`EngineError::NoAcceptedPushes`] when every worker's
     /// payload list is empty (or `accepted_count` is zero): an all-rejected
-    /// step has nothing to aggregate. The model, optimizer, and step
-    /// counter are untouched on error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if payload counts disagree with the model, or if a payload
-    /// fails to decode (payloads come from matching contexts; failures are
-    /// programming errors here — the networked runtime validates frames
-    /// before this point).
+    /// step has nothing to aggregate. Returns [`EngineError::BadPayload`]
+    /// when a payload does not decode to its tensor. The model, optimizer,
+    /// and step counter are untouched on error.
     pub fn apply_step(
         &mut self,
         payloads: &[Vec<TensorPayload>],
         accepted_count: usize,
         residual_l2: f64,
     ) -> Result<ServerStepOutput, EngineError> {
-        if accepted_count == 0 || payloads.iter().all(|p| p.is_empty()) {
-            return Err(EngineError::NoAcceptedPushes { step: self.step });
-        }
         let step_start = Instant::now();
         let lr = self.lr();
         let n_params = self.shapes.len();
-        let shards = self.plan_shards(n_params);
-        let mut server_codec = 0.0f64;
-        // Compressed mode's u16 lanes hold at most 32767 workers' digits;
-        // bigger steps take the exact path (a deterministic choice — it
-        // depends only on the accepted count, which replays identically).
-        let mode = match self.config.aggregate {
-            AggregateMode::Compressed if accepted_count > MAX_COMPRESSED_LANE_WORKERS => {
-                AggregateMode::Exact
-            }
-            m => m,
+
+        // Trace the three server phases by measured boundaries (a no-op
+        // unless a `TraceScope` is active).
+        let tracing = trace::scope_active();
+        let t_decode = if tracing { trace::now_ns() } else { 0 };
+        let (aggregated, mut server_codec) = self.aggregate(payloads, accepted_count)?;
+        let t_aggregate = if tracing {
+            let t = trace::now_ns();
+            trace::record_span("server-decode", t_decode, t);
+            t
+        } else {
+            0
         };
 
         // The decisions governing this step also apply to the pull side:
@@ -952,25 +738,6 @@ impl ServerCore {
                 }
             }
         }
-
-        // Trace the three server phases by measured boundaries rather than
-        // RAII guards: the sharded twins run on pool threads that carry no
-        // trace scope, so the spans are recorded here on the calling
-        // thread (a no-op unless a `TraceScope` is active).
-        let tracing = trace::scope_active();
-        let t_decode = if tracing { trace::now_ns() } else { 0 };
-        let aggregated = if shards > 1 {
-            self.decode_aggregate_sharded(payloads, accepted_count, mode, shards, &mut server_codec)
-        } else {
-            self.decode_aggregate_serial(payloads, accepted_count, mode, &mut server_codec)
-        };
-        let t_aggregate = if tracing {
-            let t = trace::now_ns();
-            trace::record_span("server-decode", t_decode, t);
-            t
-        } else {
-            0
-        };
         self.optimizer.apply(&mut self.global, &aggregated, lr);
 
         // Compress model deltas (shared pull contexts, Fig. 2b).
@@ -982,11 +749,7 @@ impl ServerCore {
         } else {
             0
         };
-        let (pulls, step_deltas) = if shards > 1 {
-            self.compress_pulls_sharded(&global_now, shards, &mut server_codec)
-        } else {
-            self.compress_pulls_serial(&global_now, &mut server_codec)
-        };
+        let (pulls, step_deltas) = self.compress_pulls(&global_now, &mut server_codec);
         if tracing {
             trace::record_span("re-encode", t_reencode, trace::now_ns());
         }
@@ -1066,108 +829,8 @@ impl ServerCore {
         self.policy.is_some()
     }
 
-    /// Decode + aggregate in worker-id order, one tensor at a time, under
-    /// the step's resolved [`AggregateMode`].
-    fn decode_aggregate_serial(
-        &mut self,
-        payloads: &[Vec<TensorPayload>],
-        accepted_count: usize,
-        mode: AggregateMode,
-        server_codec: &mut f64,
-    ) -> Vec<Tensor> {
-        let imp = kernels::active();
-        let n_params = self.shapes.len();
-        let mut scratch = AggScratch::default();
-        let mut timings = AggTimings::default();
-        let mut aggregated: Vec<Tensor> = Vec::with_capacity(n_params);
-        for i in 0..n_params {
-            aggregated.push(aggregate_tensor(
-                mode,
-                imp,
-                &self.shapes[i],
-                &self.decode_ctxs[i],
-                payloads,
-                i,
-                accepted_count,
-                &mut scratch,
-                &mut self.push_stats,
-                server_codec,
-                &mut timings,
-            ));
-        }
-        self.aggregate_decode_seconds.record(timings.decode);
-        self.aggregate_accumulate_seconds.record(timings.accumulate);
-        aggregated
-    }
-
-    /// The sharded twin of [`Self::decode_aggregate_serial`]: tensors are
-    /// split into `shards` contiguous index ranges, each shard decoding and
-    /// averaging its range on its own thread. Bit-identical to the serial
-    /// path because tensors are independent and the worker-id summation
-    /// order within each tensor is unchanged; only the (order-insensitive)
-    /// `u64` traffic counters and measured codec seconds flow through the
-    /// striped locks.
-    fn decode_aggregate_sharded(
-        &mut self,
-        payloads: &[Vec<TensorPayload>],
-        accepted_count: usize,
-        mode: AggregateMode,
-        shards: usize,
-        server_codec: &mut f64,
-    ) -> Vec<Tensor> {
-        let imp = kernels::active();
-        let ranges = split_ranges(self.shapes.len(), shards);
-        let ctx_chunks = split_off_ranges(self.decode_ctxs.as_mut_slice(), &ranges);
-        let stripes = stats_stripes(shards);
-        let shapes = &self.shapes;
-        let shard_busy = &self.shard_busy;
-        let shard_lock_wait = &self.shard_lock_wait;
-        let aggregate_decode_seconds = &self.aggregate_decode_seconds;
-        let aggregate_accumulate_seconds = &self.aggregate_accumulate_seconds;
-        let tasks: Vec<_> = ranges.iter().cloned().zip(ctx_chunks).collect();
-        let results = parallel::run_tasks(tasks, |k, (range, ctx_rows)| {
-            let t0 = Instant::now();
-            let mut local_stats = CompressionStats::new();
-            let mut local_codec = 0.0f64;
-            let mut scratch = AggScratch::default();
-            let mut timings = AggTimings::default();
-            let mut out = Vec::with_capacity(range.len());
-            for (ctx_row, i) in ctx_rows.iter().zip(range) {
-                out.push(aggregate_tensor(
-                    mode,
-                    imp,
-                    &shapes[i],
-                    ctx_row,
-                    payloads,
-                    i,
-                    accepted_count,
-                    &mut scratch,
-                    &mut local_stats,
-                    &mut local_codec,
-                    &mut timings,
-                ));
-            }
-            aggregate_decode_seconds.record(timings.decode);
-            aggregate_accumulate_seconds.record(timings.accumulate);
-            let w0 = Instant::now();
-            let mut stripe = stripes[k % stripes.len()].lock().expect("stripe poisoned");
-            shard_lock_wait.record(w0.elapsed().as_secs_f64());
-            stripe.0.merge(&local_stats);
-            stripe.1 += local_codec;
-            drop(stripe);
-            shard_busy.record(t0.elapsed().as_secs_f64());
-            out
-        });
-        for stripe in &stripes {
-            let stripe = stripe.lock().expect("stripe poisoned");
-            self.push_stats.merge(&stripe.0);
-            *server_codec += stripe.1;
-        }
-        results.into_iter().flatten().collect()
-    }
-
     /// Compress this step's model deltas through the shared pull contexts.
-    fn compress_pulls_serial(
+    fn compress_pulls(
         &mut self,
         global_now: &[Tensor],
         server_codec: &mut f64,
@@ -1204,80 +867,6 @@ impl ServerCore {
                     step_deltas.push(delta);
                 }
             }
-        }
-        (pulls, step_deltas)
-    }
-
-    /// The sharded twin of [`Self::compress_pulls_serial`]. Pull contexts
-    /// are per tensor, so each shard owns the contexts of its tensor range
-    /// exclusively; compression state never crosses a shard boundary and
-    /// the payloads are bit-identical to the serial path.
-    fn compress_pulls_sharded(
-        &mut self,
-        global_now: &[Tensor],
-        shards: usize,
-        server_codec: &mut f64,
-    ) -> (Vec<TensorPayload>, Vec<Tensor>) {
-        let workers = self.config.workers;
-        let shared_pull = self.config.shared_pull_compression;
-        let ranges = split_ranges(self.shapes.len(), shards);
-        let ctx_chunks = split_off_ranges(self.pull_ctxs.as_mut_slice(), &ranges);
-        let stripes = stats_stripes(shards);
-        let prev_global = &self.prev_global;
-        let shard_busy = &self.shard_busy;
-        let shard_lock_wait = &self.shard_lock_wait;
-        let tasks: Vec<_> = ranges.iter().cloned().zip(ctx_chunks).collect();
-        let results = parallel::run_tasks(tasks, |k, (range, ctxs)| {
-            let t0 = Instant::now();
-            let mut local_stats = CompressionStats::new();
-            let mut local_codec = 0.0f64;
-            let mut pulls = Vec::with_capacity(range.len());
-            let mut deltas = Vec::with_capacity(range.len());
-            for (ctx, i) in ctxs.iter_mut().zip(range) {
-                let delta = global_now[i]
-                    .sub(&prev_global[i])
-                    .expect("snapshots share shapes");
-                match ctx {
-                    Some(ctx) => {
-                        let c0 = Instant::now();
-                        let wire = ctx.compress(&delta).expect("delta shape matches context");
-                        let decoded = ctx
-                            .decompress(&wire)
-                            .expect("payload produced by this context");
-                        let elapsed = c0.elapsed().as_secs_f64();
-                        local_codec += elapsed;
-                        if !shared_pull {
-                            local_codec += elapsed * (workers as f64 - 1.0);
-                        }
-                        local_stats.record(delta.len() * workers, wire.len() * workers);
-                        pulls.push(TensorPayload::Compressed(wire));
-                        deltas.push(decoded);
-                    }
-                    None => {
-                        pulls.push(TensorPayload::Raw(delta.clone()));
-                        deltas.push(delta);
-                    }
-                }
-            }
-            let w0 = Instant::now();
-            let mut stripe = stripes[k % stripes.len()].lock().expect("stripe poisoned");
-            shard_lock_wait.record(w0.elapsed().as_secs_f64());
-            stripe.0.merge(&local_stats);
-            stripe.1 += local_codec;
-            drop(stripe);
-            shard_busy.record(t0.elapsed().as_secs_f64());
-            (pulls, deltas)
-        });
-        for stripe in &stripes {
-            let stripe = stripe.lock().expect("stripe poisoned");
-            self.pull_stats.merge(&stripe.0);
-            *server_codec += stripe.1;
-        }
-        let mut pulls = Vec::with_capacity(self.shapes.len());
-        let mut step_deltas = Vec::with_capacity(self.shapes.len());
-        for (p, d) in results {
-            pulls.extend(p);
-            step_deltas.extend(d);
         }
         (pulls, step_deltas)
     }
@@ -1393,209 +982,115 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_server_matches_serial_bit_for_bit() {
-        for scheme in [SchemeKind::three_lc(1.5), SchemeKind::Float32] {
-            let config = tiny(scheme);
-            let problem = Problem::build(&config);
-            let mut serial_workers: Vec<WorkerReplica> = (0..config.workers)
-                .map(|w| WorkerReplica::new(&problem, w))
-                .collect();
-            let mut serial = ServerCore::new(&problem);
-            let mut sharded_workers: Vec<WorkerReplica> = (0..config.workers)
-                .map(|w| {
-                    let mut r = WorkerReplica::new(&problem, w);
-                    r.set_threads(2);
-                    r
-                })
-                .collect();
-            let mut sharded = ServerCore::new(&problem);
-            sharded.set_threads(4);
-            for step in 0..4 {
-                let a = engine_step(&problem, &mut serial_workers, &mut serial);
-                let b = engine_step(&problem, &mut sharded_workers, &mut sharded);
-                assert_eq!(a.pulls.len(), b.pulls.len());
-                for (i, (x, y)) in a.pulls.iter().zip(&b.pulls).enumerate() {
-                    match (x, y) {
-                        (TensorPayload::Compressed(wa), TensorPayload::Compressed(wb)) => {
-                            assert_eq!(wa, wb, "pull wire diverged: step={step} tensor={i}");
-                        }
-                        (TensorPayload::Raw(ta), TensorPayload::Raw(tb)) => {
-                            assert_eq!(ta, tb, "raw pull diverged: step={step} tensor={i}");
-                        }
-                        _ => panic!("payload kind diverged: step={step} tensor={i}"),
-                    }
-                }
-                assert_eq!(a.step_deltas, b.step_deltas, "deltas diverged: step={step}");
-            }
-            assert_eq!(
-                serial.global().snapshot(),
-                sharded.global().snapshot(),
-                "global model diverged under {scheme}"
-            );
-            assert_eq!(serial.push_stats(), sharded.push_stats());
-            assert_eq!(serial.pull_stats(), sharded.pull_stats());
-        }
+    /// Asserts that `server` still matches a fresh server: the very next
+    /// valid step must produce bit-identical output.
+    fn assert_untouched(problem: &Problem, server: &mut ServerCore, label: &str) {
+        let config = problem.config;
+        assert_eq!(server.step_number(), 0, "{label}: step counter advanced");
+        assert_eq!(
+            server.global().snapshot(),
+            problem.init.snapshot(),
+            "{label}: a rejected step must not touch the model"
+        );
+        assert_eq!(
+            server.push_stats(),
+            &CompressionStats::new(),
+            "{label}: a rejected step must not count traffic"
+        );
+        let mut workers: Vec<WorkerReplica> = (0..config.workers)
+            .map(|w| WorkerReplica::new(problem, w))
+            .collect();
+        let mut fresh_workers: Vec<WorkerReplica> = (0..config.workers)
+            .map(|w| WorkerReplica::new(problem, w))
+            .collect();
+        let mut fresh = ServerCore::new(problem);
+        engine_step(problem, &mut workers, server);
+        engine_step(problem, &mut fresh_workers, &mut fresh);
+        assert_eq!(
+            server.global().snapshot(),
+            fresh.global().snapshot(),
+            "{label}: errored attempts must not advance the step"
+        );
     }
 
     #[test]
     fn all_rejected_step_is_a_typed_error_not_a_panic() {
-        // Both the serial and the sharded aggregation paths must refuse an
-        // all-rejected step with `NoAcceptedPushes` and leave the server
-        // untouched, so the very next valid step behaves like step 0.
-        for threads in [1usize, 4] {
-            let config = tiny(SchemeKind::three_lc(1.5));
-            let problem = Problem::build(&config);
-            let mut server = ServerCore::new(&problem);
-            server.set_threads(threads);
-            let before = server.global().snapshot();
-
-            let empty: Vec<Vec<TensorPayload>> = (0..config.workers).map(|_| Vec::new()).collect();
-            assert_eq!(
-                server.apply_step(&empty, config.workers, 0.0).err(),
-                Some(EngineError::NoAcceptedPushes { step: 0 }),
-                "threads={threads}: every-payload-empty step must error"
-            );
-            assert_eq!(
-                server.apply_step(&empty, 0, 0.0).err(),
-                Some(EngineError::NoAcceptedPushes { step: 0 }),
-                "threads={threads}: accepted_count=0 must error"
-            );
-            assert_eq!(
-                server.global().snapshot(),
-                before,
-                "threads={threads}: a rejected step must not touch the model"
-            );
-
-            // The failed attempts consumed no step: a fresh server fed the
-            // same pushes produces bit-identical output.
-            let mut workers: Vec<WorkerReplica> = (0..config.workers)
-                .map(|w| WorkerReplica::new(&problem, w))
-                .collect();
-            let mut fresh_workers: Vec<WorkerReplica> = (0..config.workers)
-                .map(|w| WorkerReplica::new(&problem, w))
-                .collect();
-            let mut fresh = ServerCore::new(&problem);
-            fresh.set_threads(threads);
-            engine_step(&problem, &mut workers, &mut server);
-            engine_step(&problem, &mut fresh_workers, &mut fresh);
-            assert_eq!(
-                server.global().snapshot(),
-                fresh.global().snapshot(),
-                "threads={threads}: errored attempts must not advance the step"
-            );
-        }
-    }
-
-    /// Runs `steps` BSP steps under one aggregation mode and returns
-    /// everything that must be bit-reproducible: per-step pull wires,
-    /// deltas, the final global model, and push statistics.
-    fn run_mode(
-        config: &ExperimentConfig,
-        threads: usize,
-        steps: usize,
-    ) -> (Vec<ServerStepOutput>, Vec<Tensor>, CompressionStats) {
-        let problem = Problem::build(config);
-        let mut workers: Vec<WorkerReplica> = (0..config.workers)
-            .map(|w| WorkerReplica::new(&problem, w))
-            .collect();
-        let mut server = ServerCore::new(&problem);
-        server.set_threads(threads);
-        let outs: Vec<ServerStepOutput> = (0..steps)
-            .map(|_| engine_step(&problem, &mut workers, &mut server))
-            .collect();
-        let global = server.global().snapshot();
-        let stats = server.push_stats().clone();
-        (outs, global, stats)
-    }
-
-    fn assert_runs_identical(a: &[ServerStepOutput], b: &[ServerStepOutput], label: &str) {
-        for (step, (oa, ob)) in a.iter().zip(b).enumerate() {
-            assert_eq!(
-                oa.step_deltas, ob.step_deltas,
-                "{label}: deltas step={step}"
-            );
-            assert_eq!(oa.pulls.len(), ob.pulls.len(), "{label}: pulls step={step}");
-            for (i, (x, y)) in oa.pulls.iter().zip(&ob.pulls).enumerate() {
-                match (x, y) {
-                    (TensorPayload::Compressed(wa), TensorPayload::Compressed(wb)) => {
-                        assert_eq!(wa, wb, "{label}: pull wire step={step} tensor={i}")
-                    }
-                    (TensorPayload::Raw(ta), TensorPayload::Raw(tb)) => {
-                        assert_eq!(ta, tb, "{label}: raw pull step={step} tensor={i}")
-                    }
-                    _ => panic!("{label}: payload kind diverged step={step} tensor={i}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn exact_mode_is_bit_identical_to_f32_mode() {
-        // The tentpole's core claim: symbol-domain worker-order
-        // accumulation reproduces the dense f32 path bit for bit — same
-        // pull wires, same deltas, same model, same traffic stats — at
-        // every thread count, for 3LC and for schemes with no symbol form.
-        for scheme in [SchemeKind::three_lc(1.5), SchemeKind::Float32] {
-            for threads in [1usize, 4] {
-                let mut f32_cfg = tiny(scheme);
-                f32_cfg.aggregate = AggregateMode::F32;
-                let mut exact_cfg = tiny(scheme);
-                exact_cfg.aggregate = AggregateMode::Exact;
-                let (a, ga, sa) = run_mode(&f32_cfg, threads, 4);
-                let (b, gb, sb) = run_mode(&exact_cfg, threads, 4);
-                let label = format!("{scheme} threads={threads}");
-                assert_runs_identical(&a, &b, &label);
-                assert_eq!(ga, gb, "{label}: global model diverged");
-                assert_eq!(sa, sb, "{label}: push stats diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn compressed_mode_is_deterministic_across_thread_counts() {
-        // Compressed-lane aggregation reorders float math (per scale
-        // group), so it is not bit-identical to exact mode — but it must be
-        // bit-identical to *itself* regardless of sharding.
-        let mut config = tiny(SchemeKind::three_lc(1.5));
-        config.workers = 4;
-        config.aggregate = AggregateMode::Compressed;
-        let (a, ga, sa) = run_mode(&config, 1, 4);
-        let (b, gb, sb) = run_mode(&config, 4, 4);
-        assert_runs_identical(&a, &b, "compressed serial-vs-sharded");
-        assert_eq!(ga, gb, "compressed: global model diverged across shards");
-        assert_eq!(sa, sb, "compressed: push stats diverged across shards");
-        // And it must still converge on the same training signal: traffic
-        // stats match exact mode (same payloads flow either way).
-        let mut exact_cfg = config;
-        exact_cfg.aggregate = AggregateMode::Exact;
-        let (_, _, se) = run_mode(&exact_cfg, 1, 4);
-        assert_eq!(sa, se, "compressed: traffic stats diverged from exact");
-    }
-
-    #[test]
-    fn compressed_mode_with_uniform_scales_matches_exact() {
-        // Single accepted worker ⇒ one scale group whose drain computes
-        // the same `sym × scale` products in the same order as exact mode,
-        // so the two modes coincide bitwise.
-        let mut compressed_cfg = tiny(SchemeKind::three_lc(1.0));
-        compressed_cfg.workers = 1;
-        compressed_cfg.aggregate = AggregateMode::Compressed;
-        let mut exact_cfg = compressed_cfg;
-        exact_cfg.aggregate = AggregateMode::Exact;
-        let (a, ga, _) = run_mode(&compressed_cfg, 1, 4);
-        let (b, gb, _) = run_mode(&exact_cfg, 1, 4);
-        assert_runs_identical(&a, &b, "single-worker compressed-vs-exact");
-        assert_eq!(ga, gb, "single-worker: global model diverged");
-    }
-
-    #[test]
-    fn set_threads_zero_resolves_to_hardware_cores() {
-        let config = tiny(SchemeKind::Float32);
+        let config = tiny(SchemeKind::three_lc(1.5));
         let problem = Problem::build(&config);
         let mut server = ServerCore::new(&problem);
-        server.set_threads(0);
-        assert!(server.threads >= 1);
+        let empty: Vec<Vec<TensorPayload>> = (0..config.workers).map(|_| Vec::new()).collect();
+        assert_eq!(
+            server.apply_step(&empty, config.workers, 0.0).err(),
+            Some(EngineError::NoAcceptedPushes { step: 0 }),
+            "every-payload-empty step must error"
+        );
+        assert_eq!(
+            server.apply_step(&empty, 0, 0.0).err(),
+            Some(EngineError::NoAcceptedPushes { step: 0 }),
+            "accepted_count=0 must error"
+        );
+        assert_untouched(&problem, &mut server, "all rejected");
+    }
+
+    #[test]
+    fn undecodable_payload_is_a_typed_error_not_a_panic() {
+        let config = tiny(SchemeKind::three_lc(1.5));
+        let problem = Problem::build(&config);
+        let raw_only = problem.compressible.iter().position(|&c| !c).unwrap();
+        let compressed = problem.compressible.iter().position(|&c| c).unwrap();
+        let mut worker = WorkerReplica::new(&problem, 0);
+        let (_, grads) = worker.compute(&problem.data, config.batch_per_worker);
+        let valid = worker.encode_push(grads).payloads;
+        let clone = |p: &TensorPayload| match p {
+            TensorPayload::Compressed(w) => TensorPayload::Compressed(w.clone()),
+            TensorPayload::Raw(t) => TensorPayload::Raw(t.clone()),
+        };
+        let with = |tensor: usize, bad: TensorPayload| -> Vec<Vec<TensorPayload>> {
+            let mut push: Vec<TensorPayload> = valid.iter().map(clone).collect();
+            push[tensor] = bad;
+            vec![valid.iter().map(clone).collect(), push]
+        };
+        let cases = [
+            (
+                "compressed body for a raw tensor",
+                with(raw_only, TensorPayload::Compressed(vec![0; 3])),
+                raw_only,
+            ),
+            (
+                "truncated 3LC body",
+                with(compressed, TensorPayload::Compressed(vec![0; 3])),
+                compressed,
+            ),
+            (
+                "raw tensor of the wrong length",
+                with(
+                    compressed,
+                    TensorPayload::Raw(Tensor::from_vec(vec![0.0; 3], [3])),
+                ),
+                compressed,
+            ),
+            (
+                "missing tensors",
+                vec![
+                    valid.iter().map(clone).collect(),
+                    valid[..2].iter().map(clone).collect(),
+                ],
+                2,
+            ),
+        ];
+        for (label, payloads, tensor) in cases {
+            let mut server = ServerCore::new(&problem);
+            assert_eq!(
+                server.apply_step(&payloads, 2, 0.0).err(),
+                Some(EngineError::BadPayload {
+                    step: 0,
+                    worker: 1,
+                    tensor
+                }),
+                "{label}"
+            );
+            assert_untouched(&problem, &mut server, label);
+        }
     }
 
     #[test]

@@ -1,8 +1,12 @@
-//! Property tests for the tentpole claim: **exact-mode symbol-domain
-//! aggregation is bit-identical to the seed f32 path** — same pull wires,
-//! same per-step deltas, same global model bit patterns — across thread
-//! counts and adversarial inputs (all-zero tensors, denormal scales,
-//! single-worker steps, and payloads rejected mid-step).
+//! Property tests for the server's aggregation claim: **the engine's
+//! symbol-domain aggregation is bit-identical to decoding every accepted
+//! payload to an f32 tensor and summing in worker order** — checked every
+//! step, against a decode-then-sum oracle that lives only here, across
+//! codec thread counts and adversarial inputs (all-zero tensors, denormal
+//! scales, single-worker steps, and payloads rejected mid-step).
+//!
+//! The optimizer and pull code after aggregation is shared, so per-step
+//! gradient identity implies model identity.
 //!
 //! Codec-tier coverage (scalar / SWAR / SIMD) comes from re-running this
 //! suite under `THREELC_CODEC_IMPL` in ci.sh's codec matrix: the engine
@@ -12,16 +16,14 @@
 //! stronger than the CRC32 comparison the networked loopback tests use.
 
 use proptest::prelude::*;
+use threelc::Compressor;
 use threelc_baselines::SchemeKind;
-use threelc_distsim::engine::ServerStepOutput;
-use threelc_distsim::{
-    AggregateMode, ExperimentConfig, Problem, ServerCore, TensorPayload, WorkerReplica,
-};
+use threelc_distsim::{ExperimentConfig, Problem, ServerCore, TensorPayload, WorkerReplica};
 use threelc_tensor::Tensor;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn config(workers: usize, aggregate: AggregateMode) -> ExperimentConfig {
+fn config(workers: usize) -> ExperimentConfig {
     ExperimentConfig {
         scheme: SchemeKind::three_lc(1.5),
         workers,
@@ -30,7 +32,6 @@ fn config(workers: usize, aggregate: AggregateMode) -> ExperimentConfig {
         model_width: 16,
         model_blocks: 1,
         seed: 11,
-        aggregate,
         ..Default::default()
     }
 }
@@ -42,30 +43,59 @@ fn bits(ts: &[Tensor]) -> Vec<Vec<u32>> {
         .collect()
 }
 
-fn assert_outputs_identical(
-    a: &ServerStepOutput,
-    b: &ServerStepOutput,
-    label: &str,
+/// The reference aggregation: decode every accepted payload to an f32
+/// [`Tensor`] (with fresh mirror contexts — decode is pure), sum in
+/// worker-id order, divide by the accepted count.
+fn oracle(
+    ctxs: &[Vec<Option<Box<dyn Compressor>>>],
+    payloads: &[Vec<TensorPayload>],
+    accepted: usize,
+) -> Vec<Tensor> {
+    let n_params = ctxs[0].len();
+    (0..n_params)
+        .map(|i| {
+            let mut sum: Option<Tensor> = None;
+            for (w, push) in payloads.iter().enumerate() {
+                if push.is_empty() {
+                    continue; // rejected
+                }
+                let grad = match &push[i] {
+                    TensorPayload::Compressed(wire) => ctxs[w][i]
+                        .as_ref()
+                        .expect("compressed payload implies a context")
+                        .decompress(wire)
+                        .expect("payload produced by a matching context"),
+                    TensorPayload::Raw(t) => t.clone(),
+                };
+                match &mut sum {
+                    Some(s) => s.add_assign(&grad).expect("same shapes"),
+                    None => sum = Some(grad),
+                }
+            }
+            let mut avg = sum.expect("an accepted worker");
+            avg.scale_inplace(1.0 / accepted as f32);
+            avg
+        })
+        .collect()
+}
+
+/// Aggregates `payloads` on `server` and demands the oracle's bits.
+fn assert_matches_oracle(
+    server: &mut ServerCore,
+    ctxs: &[Vec<Option<Box<dyn Compressor>>>],
+    payloads: &[Vec<TensorPayload>],
+    accepted: usize,
+    step: usize,
 ) -> Result<(), TestCaseError> {
+    let (got, _) = server
+        .aggregate(payloads, accepted)
+        .expect("at least one valid push accepted");
+    let want = oracle(ctxs, payloads, accepted);
     prop_assert!(
-        bits(&a.step_deltas) == bits(&b.step_deltas),
-        "{label}: step deltas diverged"
+        bits(&got) == bits(&want),
+        "step {}: averaged gradient diverged from decode-then-sum",
+        step
     );
-    prop_assert!(a.pulls.len() == b.pulls.len(), "{label}: pull count");
-    for (i, (x, y)) in a.pulls.iter().zip(&b.pulls).enumerate() {
-        match (x, y) {
-            (TensorPayload::Compressed(wa), TensorPayload::Compressed(wb)) => {
-                prop_assert!(wa == wb, "{label}: pull wire diverged, tensor {i}");
-            }
-            (TensorPayload::Raw(ta), TensorPayload::Raw(tb)) => {
-                prop_assert!(
-                    bits(std::slice::from_ref(ta)) == bits(std::slice::from_ref(tb)),
-                    "{label}: raw pull diverged, tensor {i}"
-                );
-            }
-            _ => prop_assert!(false, "{label}: payload kind diverged, tensor {i}"),
-        }
-    }
     Ok(())
 }
 
@@ -137,28 +167,23 @@ fn crafted_push(
 }
 
 proptest! {
-    /// Feeds both aggregation modes the *same* crafted payload bytes —
-    /// adversarial value patterns, per-step rejection masks (a payload
-    /// dropped mid-step, exactly what the networked server does on a CRC
-    /// failure), single-worker steps — and demands bitwise-equal output.
+    /// Feeds the engine crafted payload bytes — adversarial value
+    /// patterns, per-step rejection masks (a payload dropped mid-step,
+    /// exactly what the networked server does on a CRC failure),
+    /// single-worker steps — and demands the oracle's bits every step.
     #[test]
-    fn exact_matches_f32_on_adversarial_pushes(
+    fn aggregate_matches_oracle_on_adversarial_pushes(
         workers in 1usize..5,
         threads_idx in 0usize..4,
         kinds in prop::collection::vec(0u8..4, 4..5),
         masks in prop::collection::vec(0u32..16, 2..3),
         seed in any::<u64>(),
     ) {
-        let threads = THREAD_COUNTS[threads_idx];
-        let problem_a = Problem::build(&config(workers, AggregateMode::F32));
-        let problem_b = Problem::build(&config(workers, AggregateMode::Exact));
-        let mut server_a = ServerCore::new(&problem_a);
-        let mut server_b = ServerCore::new(&problem_b);
-        server_a.set_threads(threads);
-        server_b.set_threads(threads);
-        // One stateful context set, shared by both servers: the payload
-        // bytes under test are identical by construction.
-        let mut ctxs: Vec<_> = (0..workers).map(|w| problem_a.push_ctxs(w)).collect();
+        let problem = Problem::build(&config(workers));
+        let mut server = ServerCore::new(&problem);
+        server.set_threads(THREAD_COUNTS[threads_idx]);
+        let mirrors: Vec<_> = (0..workers).map(|w| problem.push_ctxs(w)).collect();
+        let mut ctxs: Vec<_> = (0..workers).map(|w| problem.push_ctxs(w)).collect();
 
         for (step, &mask) in masks.iter().enumerate() {
             let rejected = |w: usize| w != 0 && (mask >> w) & 1 == 1;
@@ -168,7 +193,7 @@ proptest! {
                 // A rejected worker still compressed (its residual state
                 // advances) — the server just never sees the bytes.
                 let push = crafted_push(
-                    &problem_a,
+                    &problem,
                     &mut ctxs[w],
                     kinds[w % kinds.len()].wrapping_add(step as u8),
                     seed ^ (w as u64) << 32 ^ step as u64,
@@ -180,81 +205,54 @@ proptest! {
                     accepted += 1;
                 }
             }
-            let out_a = server_a
+            assert_matches_oracle(&mut server, &mirrors, &payloads, accepted, step)?;
+            server
                 .apply_step(&payloads, accepted, 0.0)
                 .expect("worker 0 always accepted");
-            let out_b = server_b
-                .apply_step(&payloads, accepted, 0.0)
-                .expect("worker 0 always accepted");
-            assert_outputs_identical(&out_a, &out_b, &format!("step {step}"))?;
         }
-        prop_assert!(
-            bits(&server_a.global().snapshot()) == bits(&server_b.global().snapshot()),
-            "global model diverged"
-        );
     }
 
     /// Full training loop (real gradients, error accumulation in every
-    /// worker) with one worker's push rejected at a random step: pull
-    /// wires, worker residual norms, and the final model must stay
-    /// bit-identical between f32 and exact aggregation.
+    /// worker) with one worker's push rejected at a random step: every
+    /// step's averaged gradient must equal the oracle's bit for bit.
     #[test]
-    fn exact_matches_f32_through_training(
+    fn aggregate_matches_oracle_through_training(
         threads_idx in 0usize..4,
         drop_step in 0usize..4,
         drop_worker in 0usize..2,
     ) {
-        let threads = THREAD_COUNTS[threads_idx];
         let workers = 2usize;
-        let mut runs = [AggregateMode::F32, AggregateMode::Exact].map(|mode| {
-            let problem = Problem::build(&config(workers, mode));
-            let replicas: Vec<WorkerReplica> = (0..workers)
-                .map(|w| WorkerReplica::new(&problem, w))
-                .collect();
-            let mut server = ServerCore::new(&problem);
-            server.set_threads(threads);
-            (problem, replicas, server)
-        });
+        let problem = Problem::build(&config(workers));
+        let mut replicas: Vec<WorkerReplica> = (0..workers)
+            .map(|w| WorkerReplica::new(&problem, w))
+            .collect();
+        let mut server = ServerCore::new(&problem);
+        server.set_threads(THREAD_COUNTS[threads_idx]);
+        let mirrors: Vec<_> = (0..workers).map(|w| problem.push_ctxs(w)).collect();
 
         for step in 0..4usize {
-            let mut outs = Vec::with_capacity(2);
-            for (problem, replicas, server) in runs.iter_mut() {
-                let mut payloads = Vec::with_capacity(workers);
-                let mut residual = 0.0f64;
-                for w in replicas.iter_mut() {
-                    let (_loss, grads) =
-                        w.compute(&problem.data, problem.config.batch_per_worker);
-                    payloads.push(w.encode_push(grads).payloads);
-                    residual = residual.max(w.residual_l2());
-                }
-                let mut accepted = workers;
-                if step == drop_step {
-                    // The networked server rejects this worker's frame
-                    // (bad CRC); the worker itself is none the wiser.
-                    payloads[drop_worker].clear();
-                    accepted -= 1;
-                }
-                let out = server
-                    .apply_step(&payloads, accepted, residual)
-                    .expect("at most one worker rejected");
-                for w in replicas.iter_mut() {
-                    w.apply_deltas(&out.step_deltas);
-                    w.apply_policy(&out.next_decisions);
-                }
-                outs.push(out);
+            let mut payloads = Vec::with_capacity(workers);
+            let mut residual = 0.0f64;
+            for w in replicas.iter_mut() {
+                let (_loss, grads) = w.compute(&problem.data, problem.config.batch_per_worker);
+                payloads.push(w.encode_push(grads).payloads);
+                residual = residual.max(w.residual_l2());
             }
-            assert_outputs_identical(&outs[0], &outs[1], &format!("step {step}"))?;
-            let residuals = |replicas: &[WorkerReplica]| -> Vec<u64> {
-                replicas.iter().map(|w| w.residual_l2().to_bits()).collect()
-            };
-            prop_assert!(
-                residuals(&runs[0].1) == residuals(&runs[1].1),
-                "worker residual bit patterns diverged at step {step}"
-            );
+            let mut accepted = workers;
+            if step == drop_step {
+                // The networked server rejects this worker's frame (bad
+                // CRC); the worker itself is none the wiser.
+                payloads[drop_worker].clear();
+                accepted -= 1;
+            }
+            assert_matches_oracle(&mut server, &mirrors, &payloads, accepted, step)?;
+            let out = server
+                .apply_step(&payloads, accepted, residual)
+                .expect("at most one worker rejected");
+            for w in replicas.iter_mut() {
+                w.apply_deltas(&out.step_deltas);
+                w.apply_policy(&out.next_decisions);
+            }
         }
-        prop_assert!(
-            bits(&runs[0].2.global().snapshot()) == bits(&runs[1].2.global().snapshot()),
-            "global model diverged"
-        );
     }
 }

@@ -59,12 +59,6 @@ pub struct NetReport {
     /// Zero in reports written before the field existed.
     #[serde(default)]
     pub final_model_crc32: u32,
-    /// The server aggregation mode the run used (`f32`, `exact`, or
-    /// `compressed` — [`threelc_distsim::AggregateMode::name`]). Empty in
-    /// reports written before the field existed (those runs predate the
-    /// mode switch and aggregated on the `f32` path).
-    #[serde(default)]
-    pub aggregate_mode: String,
     /// Per-connection transport counters, in worker-id order. Workers
     /// that reconnected mid-run report the totals across all their
     /// connections.
@@ -122,7 +116,6 @@ mod tests {
         let report = NetReport {
             result: result.clone(),
             final_model_crc32: 0xDEAD_BEEF,
-            aggregate_mode: "exact".into(),
             connections: vec![ConnReport {
                 worker: 0,
                 peer: "127.0.0.1:9".into(),
@@ -160,7 +153,6 @@ mod tests {
             )
             .replace(",\"anomalies\":[]", "")
             .replace("\"final_model_crc32\":3735928559,", "")
-            .replace("\"aggregate_mode\":\"exact\",", "")
             .replace(
                 ",\"faults\":{\"disconnects\":1,\"rejoins\":1,\"events\":\
                  [{\"step\":3,\"worker\":0,\"kind\":\"rejoin\",\
@@ -186,16 +178,55 @@ mod tests {
         assert!(old.analysis.is_none());
         assert_eq!(old.metrics, Snapshot::default());
         assert_eq!(old.final_model_crc32, 0);
-        assert!(
-            !stripped.contains("aggregate_mode"),
-            "aggregate_mode key not stripped"
-        );
-        assert_eq!(old.aggregate_mode, "");
         assert_eq!(old.faults, FaultsReport::default());
         // The embedded result stays readable by ExperimentResult readers
         // (bench's cache schema).
         let embedded = serde_json::to_string(&report.result).unwrap();
         let parsed: ExperimentResult = serde_json::from_str(&embedded).unwrap();
         assert_eq!(parsed, result);
+    }
+
+    #[test]
+    fn configs_and_reports_from_earlier_builds_still_load() {
+        // Earlier builds had a selectable server aggregation mode and
+        // recorded it in the config (`aggregate`) and the report
+        // (`aggregate_mode`). Flight dumps and `--json` reports they wrote
+        // must stay readable; both keys are ignored.
+        let config = ExperimentConfig {
+            workers: 1,
+            batch_per_worker: 4,
+            total_steps: 1,
+            model_width: 8,
+            model_blocks: 1,
+            ..ExperimentConfig::for_scheme(SchemeKind::three_lc(1.5))
+        };
+        let json = serde_json::to_string(&config).unwrap();
+        let old = json.replacen("\"policy\":", "\"aggregate\":\"Compressed\",\"policy\":", 1);
+        assert_ne!(old, json, "policy key must have been serialized");
+        let back: ExperimentConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, config);
+
+        let report = NetReport {
+            result: run_experiment(&config),
+            final_model_crc32: 7,
+            connections: Vec::new(),
+            faults: FaultsReport::default(),
+            node_traces: Vec::new(),
+            anomalies: Vec::new(),
+            series: RunSeries::default(),
+            analysis: None,
+            metrics: Snapshot::default(),
+        };
+        let json = serde_json::to_string(&report).unwrap();
+        let old = json
+            .replacen("\"policy\":", "\"aggregate\":\"Compressed\",\"policy\":", 1)
+            .replace(
+                "\"final_model_crc32\":7,",
+                "\"final_model_crc32\":7,\"aggregate_mode\":\"compressed\",",
+            );
+        assert!(old.contains("\"aggregate\":\"Compressed\""));
+        assert!(old.contains("\"aggregate_mode\":\"compressed\""));
+        let back: NetReport = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, report);
     }
 }

@@ -40,7 +40,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 use threelc_distsim::engine::{self, EngineError, Problem, ServerCore, TensorPayload};
 use threelc_distsim::trace::{EvalRecord, StepRecord, TrainingTrace};
-use threelc_distsim::{AggregateMode, ExperimentConfig, ExperimentResult};
+use threelc_distsim::{ExperimentConfig, ExperimentResult};
 use threelc_learning::Evaluation;
 use threelc_obs::flight::trigger;
 use threelc_obs::{
@@ -66,7 +66,7 @@ pub struct ServeOptions {
     /// original fail-stop semantics: any mid-run disconnect aborts, and
     /// no pull-batch history is retained.
     pub max_rejoins: u32,
-    /// Codec/aggregation threads for the server core (`0` = one per
+    /// Codec threads for the server core (`0` = one per
     /// hardware core). A performance hint only: the trained model is
     /// bit-identical at any setting.
     pub threads: usize,
@@ -76,11 +76,6 @@ pub struct ServeOptions {
     /// anomalies. `None` disables dumping (series are still recorded and
     /// scrapeable).
     pub flight: Option<String>,
-    /// Overrides the configuration's server aggregation mode for this run
-    /// (`None` keeps [`ExperimentConfig::aggregate`]). The effective mode
-    /// lands in the config broadcast to workers and in the report, so a
-    /// matching `simulate` run stays bit-comparable.
-    pub aggregate: Option<AggregateMode>,
 }
 
 impl Default for ServeOptions {
@@ -92,7 +87,6 @@ impl Default for ServeOptions {
             max_rejoins: 4,
             threads: 1,
             flight: None,
-            aggregate: None,
         }
     }
 }
@@ -267,16 +261,6 @@ fn serve_run(
     server_buf: &Arc<TraceBuffer>,
 ) -> Result<NetReport, NetError> {
     validate_config(config)?;
-    // Resolve the effective aggregation mode up front: everything
-    // downstream — the server core, the config JSON workers receive, the
-    // report — sees one consistent config.
-    let config = &{
-        let mut c = *config;
-        if let Some(mode) = opts.aggregate {
-            c.aggregate = mode;
-        }
-        c
-    };
     let problem = Problem::build(config);
     let n_params = problem.num_tensors();
     if n_params > usize::from(u16::MAX) {
@@ -858,7 +842,6 @@ fn serve_run(
             trace,
         },
         final_model_crc32: model_crc32(server.global()),
-        aggregate_mode: config.aggregate.name().into(),
         connections: connections
             .into_iter()
             .map(|c| c.expect("every slot reported"))

@@ -3,12 +3,13 @@
 //! in-process simulator.
 
 use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::thread;
 use std::time::Duration;
 use threelc_baselines::SchemeKind;
 use threelc_distsim::{run_experiment, Cluster, ExperimentConfig};
 use threelc_net::frame::{read_frame, write_frame};
-use threelc_net::protocol::encode_hello;
+use threelc_net::protocol::{encode_hello, encode_push_done};
 use threelc_net::{
     run_worker, scrape_metrics, scrape_series, serve, MsgType, ServeOptions, WorkerOptions,
 };
@@ -206,10 +207,9 @@ fn adaptive_policy_loopback_matches_simulator_bit_for_bit() {
 }
 
 #[test]
-fn sharded_loopback_matches_simulator_bit_for_bit() {
-    // Server with sharded aggregation (2 shards) and chunk-parallel codec
-    // workers on both roles: the trained model must still be bit-identical
-    // to the (serial) in-process simulator.
+fn threaded_codec_loopback_matches_simulator_bit_for_bit() {
+    // Chunk-parallel codec threads on both roles: the trained model must
+    // still be bit-identical to the single-threaded in-process simulator.
     let config = ExperimentConfig {
         total_steps: 6,
         eval_every: 0,
@@ -255,74 +255,6 @@ fn sharded_loopback_matches_simulator_bit_for_bit() {
             cluster.worker_model(w).snapshot(),
             "worker {w} replica diverged from the serial simulator"
         );
-    }
-}
-
-#[test]
-fn compressed_aggregation_loopback_matches_simulator_bit_for_bit() {
-    // `--aggregate compressed` changes the server's float math (scale
-    // groups, integer symbol lanes), so its model differs from the f32
-    // path — but serve and simulate must still agree bit for bit, serial
-    // and sharded alike. The mode arrives via the ServeOptions override
-    // here, proving the effective config (not the caller's) is what the
-    // run trains, reports, and broadcasts.
-    let base = ExperimentConfig {
-        total_steps: 8,
-        eval_every: 0,
-        ..loopback_config(SchemeKind::three_lc(1.0))
-    };
-    let effective = ExperimentConfig {
-        aggregate: threelc_distsim::AggregateMode::Compressed,
-        ..base
-    };
-    for threads in [1usize, 2] {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().expect("local addr").to_string();
-        let opts = ServeOptions {
-            threads,
-            aggregate: Some(threelc_distsim::AggregateMode::Compressed),
-            ..ServeOptions::default()
-        };
-        let server = thread::spawn(move || serve(&listener, &base, &opts));
-        let clients: Vec<_> = (0..base.workers as u16)
-            .map(|w| {
-                let addr = addr.clone();
-                thread::spawn(move || run_worker(&WorkerOptions::new(addr, w)))
-            })
-            .collect();
-        let outcomes: Vec<_> = clients
-            .into_iter()
-            .map(|c| c.join().expect("client thread").expect("worker run"))
-            .collect();
-        let report = server.join().expect("server thread").expect("serve run");
-
-        assert_eq!(report.aggregate_mode, "compressed", "threads={threads}");
-        assert_eq!(report.result.config, effective, "threads={threads}");
-        let mut cluster = Cluster::new(effective);
-        for _ in 0..effective.total_steps {
-            cluster.step();
-        }
-        assert_eq!(
-            report.final_model_crc32,
-            threelc_net::model_crc32(cluster.global_model()),
-            "threads={threads}: compressed-mode serve diverged from simulate"
-        );
-        for (w, outcome) in outcomes.iter().enumerate() {
-            assert_eq!(
-                outcome.model.snapshot(),
-                cluster.worker_model(w).snapshot(),
-                "threads={threads}: worker {w} replica diverged"
-            );
-        }
-        // Same traffic accounting as any mode: aggregation happens after
-        // the bytes are counted.
-        let simulated = run_experiment(&effective);
-        assert_eq!(report.result.final_eval, simulated.final_eval);
-        for (net, sim) in report.result.trace.steps.iter().zip(&simulated.trace.steps) {
-            assert_eq!(net.loss.to_bits(), sim.loss.to_bits(), "step {}", sim.step);
-            assert_eq!(net.push_bytes, sim.push_bytes, "step {}", sim.step);
-            assert_eq!(net.pull_bytes, sim.pull_bytes, "step {}", sim.step);
-        }
     }
 }
 
@@ -696,4 +628,86 @@ fn server_rejects_unsupported_configs_before_accepting() {
         ..loopback_config(SchemeKind::Float32)
     };
     assert!(serve(&listener, &backup, &opts).is_err());
+}
+
+#[test]
+fn hostile_push_ends_serve_with_an_error_not_a_panic() {
+    // A raw peer completes the handshake, then pushes CRC-valid frames
+    // whose bodies do not decode: (a) a 3-byte body for a compressed
+    // tensor, (b) a `PushTensor` for a tensor that only travels raw. The
+    // server must end the run with a typed error well within its I/O
+    // timeout — never panic the coordinator.
+    let config = ExperimentConfig {
+        workers: 1,
+        ..loopback_config(SchemeKind::three_lc(1.0))
+    };
+    let problem = threelc_distsim::Problem::build(&config);
+    let raw_only = problem
+        .compressible
+        .iter()
+        .position(|&c| !c)
+        .expect("a raw tensor");
+    let compressed = problem
+        .compressible
+        .iter()
+        .position(|&c| c)
+        .expect("a compressed tensor");
+    let mut ctxs = problem.push_ctxs(0);
+    let valid: Vec<(MsgType, Vec<u8>)> = problem
+        .shapes
+        .iter()
+        .zip(ctxs.iter_mut())
+        .map(|(shape, ctx)| {
+            let zeros = threelc_tensor::Tensor::zeros(shape.clone());
+            match ctx {
+                Some(ctx) => (MsgType::PushTensor, ctx.compress(&zeros).expect("compress")),
+                None => (MsgType::PushRaw, vec![0u8; 4 * shape.num_elements()]),
+            }
+        })
+        .collect();
+
+    for (label, bad_tensor) in [("short body", compressed), ("raw-only tensor", raw_only)] {
+        let mut push = valid.clone();
+        push[bad_tensor] = (MsgType::PushTensor, vec![1, 2, 3]);
+        let io_timeout = Duration::from_secs(5);
+        let opts = ServeOptions {
+            io_timeout,
+            step_timeout: io_timeout,
+            max_rejoins: 0,
+            ..ServeOptions::default()
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let (tx, rx) = mpsc::channel();
+        // A panic drops `tx` without sending, which the receive reports.
+        let server = thread::spawn(move || {
+            let _ = tx.send(serve(&listener, &config, &opts).map(|_| ()));
+        });
+
+        let stream = TcpStream::connect(&addr).expect("connect");
+        write_frame(&mut &stream, MsgType::Hello, 0, 0, &encode_hello(0)).expect("hello");
+        let ack = read_frame(&mut &stream).expect("hello ack");
+        assert_eq!(ack.msg, MsgType::HelloAck);
+        for (i, (msg, body)) in push.iter().enumerate() {
+            write_frame(&mut &stream, *msg, i as u16, 0, body).expect("push");
+        }
+        let done = encode_push_done(0.0, 0.0, 0.0, 0.0);
+        write_frame(&mut &stream, MsgType::PushDone, 0, 0, &done).expect("push done");
+
+        let result = match rx.recv_timeout(io_timeout) {
+            Ok(result) => result,
+            Err(mpsc::RecvTimeoutError::Timeout) => panic!("{label}: serve outlived io_timeout"),
+            Err(mpsc::RecvTimeoutError::Disconnected) => panic!("{label}: serve panicked"),
+        };
+        server.join().expect("serve thread");
+        let err = result
+            .expect_err("a hostile push must fail the run")
+            .to_string();
+        assert!(
+            err.contains("server aggregation failed")
+                && err.contains(&format!("tensor {bad_tensor}")),
+            "{label}: error must name the phase and tensor: {err}"
+        );
+        drop(stream);
+    }
 }
