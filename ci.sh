@@ -287,15 +287,17 @@ fi
 echo "    disconnect@2 recovered; crc $net_crc matches the simulator"
 
 # A worker killed between push and pull (exit code 43) is resumed by a
-# fresh process with --rejoin; the run must still match the simulator.
+# fresh process with --rejoin; the run must still match the
+# single-threaded simulator with codec threads on every role.
 port=$((20000 + RANDOM % 20000))
 addr="127.0.0.1:$port"
-"$threelc" serve --addr "$addr" "${chaos_flags[@]}" >"$chaosdir/kill-serve.log" &
+"$threelc" serve --addr "$addr" "${chaos_flags[@]}" --threads 2 \
+    >"$chaosdir/kill-serve.log" &
 serve_pid=$!
-"$threelc" worker --addr "$addr" --id 0 --inject-fault kill@2 \
+"$threelc" worker --addr "$addr" --id 0 --inject-fault kill@2 --threads 2 \
     >"$chaosdir/kill-w0.log" &
 w0=$!
-"$threelc" worker --addr "$addr" --id 1 >"$chaosdir/kill-w1.log" &
+"$threelc" worker --addr "$addr" --id 1 --threads 2 >"$chaosdir/kill-w1.log" &
 w1=$!
 rc=0
 wait "$w0" || rc=$?
@@ -303,7 +305,8 @@ if [ "$rc" != 43 ]; then
     echo "kill@2 worker exited $rc, expected the kill exit code 43" >&2
     exit 1
 fi
-"$threelc" worker --addr "$addr" --id 0 --rejoin >"$chaosdir/kill-w0b.log" &
+"$threelc" worker --addr "$addr" --id 0 --rejoin --threads 2 \
+    >"$chaosdir/kill-w0b.log" &
 w0b=$!
 wait "$w0b"
 wait "$w1"
@@ -341,57 +344,6 @@ fi
 rc=0
 wait "$w1" || rc=$?
 echo "    --max-rejoins 0 aborts on the injected fault; gate holds both ways"
-
-echo "==> server aggregation (one path: serve == simulate, clean and resumed)"
-aggdir=target/agg-smoke
-rm -rf "$aggdir"
-mkdir -p "$aggdir"
-# A fault-free serve must land exactly on the simulator's model.
-port=$((20000 + RANDOM % 20000))
-addr="127.0.0.1:$port"
-"$threelc" serve --addr "$addr" "${chaos_flags[@]}" >"$aggdir/serve.log" &
-serve_pid=$!
-"$threelc" worker --addr "$addr" --id 0 >"$aggdir/w0.log" &
-w0=$!
-"$threelc" worker --addr "$addr" --id 1 >"$aggdir/w1.log" &
-w1=$!
-wait "$w0"
-wait "$w1"
-wait "$serve_pid"
-if [ "$(crc_of "$aggdir/serve.log")" != "$sim_crc" ]; then
-    echo "clean serve diverged: crc $(crc_of "$aggdir/serve.log") != simulate crc $sim_crc" >&2
-    exit 1
-fi
-echo "    clean serve: crc matches the simulator"
-
-# kill@2 + --rejoin with codec threads on every role: replay-based resync
-# must land on the same model as the single-threaded simulator.
-port=$((20000 + RANDOM % 20000))
-addr="127.0.0.1:$port"
-"$threelc" serve --addr "$addr" "${chaos_flags[@]}" --threads 2 \
-    >"$aggdir/kill-serve.log" &
-serve_pid=$!
-"$threelc" worker --addr "$addr" --id 0 --inject-fault kill@2 --threads 2 \
-    >"$aggdir/kill-w0.log" &
-w0=$!
-"$threelc" worker --addr "$addr" --id 1 --threads 2 >"$aggdir/kill-w1.log" &
-w1=$!
-rc=0
-wait "$w0" || rc=$?
-if [ "$rc" != 43 ]; then
-    echo "threaded kill@2 worker exited $rc, expected the kill exit code 43" >&2
-    exit 1
-fi
-"$threelc" worker --addr "$addr" --id 0 --rejoin --threads 2 >"$aggdir/kill-w0b.log" &
-w0b=$!
-wait "$w0b"
-wait "$w1"
-wait "$serve_pid"
-if [ "$(crc_of "$aggdir/kill-serve.log")" != "$sim_crc" ]; then
-    echo "threaded kill@2 + --rejoin diverged from the simulator" >&2
-    exit 1
-fi
-echo "    threaded kill@2 + --rejoin resumed; crc matches the simulator"
 
 echo "==> policy smoke (adaptive multipliers: deterministic and non-constant)"
 policydir=target/policy-smoke

@@ -26,7 +26,6 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 use threelc::kernels;
-use threelc::parallel;
 use threelc::{CompressionStats, Compressor, SparsityMultiplier};
 use threelc_baselines::{build_compressor, SchemeKind};
 use threelc_learning::{models, Batch, LrSchedule, Network, SgdMomentum, SyntheticImages};
@@ -574,11 +573,6 @@ impl ServerCore {
     /// performance hint: aggregation itself always runs serially in
     /// worker-id order, and the codec is bit-identical at any setting.
     pub fn set_threads(&mut self, threads: usize) {
-        let threads = if threads == 0 {
-            parallel::available_threads()
-        } else {
-            threads
-        };
         for ctx in self.decode_ctxs.iter_mut().flatten().flatten() {
             ctx.set_threads(threads);
         }
@@ -620,27 +614,36 @@ impl ServerCore {
     }
 
     /// Decodes and averages the accepted pushes: the averaged gradient
-    /// [`Self::apply_step`] feeds the optimizer, plus the measured decode
-    /// CPU seconds. Every tensor is the worker-id-order float sum of the
-    /// decoded payloads divided by `accepted_count` — bit for bit what
-    /// decoding each payload to an f32 [`Tensor`] and summing those
-    /// computes (DESIGN.md §16).
+    /// [`Self::apply_step`] feeds the optimizer. Every tensor is the
+    /// worker-id-order float sum of the decoded payloads divided by
+    /// `accepted_count` — bit for bit what decoding each payload to an f32
+    /// [`Tensor`] and summing those computes (DESIGN.md §16).
     ///
-    /// Only the push traffic statistics and the aggregate-phase histograms
-    /// change; the model, optimizer, and step counter are untouched, so
-    /// callers may aggregate a step before (or without) applying it.
+    /// A pure computation: no server state, traffic statistic, or
+    /// histogram changes, so callers may aggregate a step before (or
+    /// without) applying it.
     ///
     /// # Errors
     ///
     /// [`EngineError::NoAcceptedPushes`] when every payload list is empty
     /// or `accepted_count` is zero, and [`EngineError::BadPayload`] when a
-    /// payload does not decode to its tensor (push statistics are then
-    /// untouched too).
+    /// payload does not decode to its tensor.
     pub fn aggregate(
-        &mut self,
+        &self,
         payloads: &[Vec<TensorPayload>],
         accepted_count: usize,
-    ) -> Result<(Vec<Tensor>, f64), EngineError> {
+    ) -> Result<Vec<Tensor>, EngineError> {
+        self.aggregate_timed(payloads, accepted_count)
+            .map(|(aggregated, _, _)| aggregated)
+    }
+
+    /// [`Self::aggregate`] plus the pass's push traffic statistics and
+    /// decode/accumulate timings, which [`Self::apply_step`] records.
+    fn aggregate_timed(
+        &self,
+        payloads: &[Vec<TensorPayload>],
+        accepted_count: usize,
+    ) -> Result<(Vec<Tensor>, CompressionStats, AggTimings), EngineError> {
         if accepted_count == 0 || payloads.iter().all(|p| p.is_empty()) {
             return Err(EngineError::NoAcceptedPushes { step: self.step });
         }
@@ -677,10 +680,7 @@ impl ServerCore {
             })?;
             aggregated.push(avg);
         }
-        self.push_stats.merge(&stats);
-        self.aggregate_decode_seconds.record(timings.decode);
-        self.aggregate_accumulate_seconds.record(timings.accumulate);
-        Ok((aggregated, timings.decode))
+        Ok((aggregated, stats, timings))
     }
 
     /// Executes one server step: decodes and averages the accepted pushes
@@ -719,7 +719,11 @@ impl ServerCore {
         // unless a `TraceScope` is active).
         let tracing = trace::scope_active();
         let t_decode = if tracing { trace::now_ns() } else { 0 };
-        let (aggregated, mut server_codec) = self.aggregate(payloads, accepted_count)?;
+        let (aggregated, stats, timings) = self.aggregate_timed(payloads, accepted_count)?;
+        self.push_stats.merge(&stats);
+        self.aggregate_decode_seconds.record(timings.decode);
+        self.aggregate_accumulate_seconds.record(timings.accumulate);
+        let mut server_codec = timings.decode;
         let t_aggregate = if tracing {
             let t = trace::now_ns();
             trace::record_span("server-decode", t_decode, t);

@@ -1,9 +1,11 @@
 //! Property tests for the server's aggregation claim: **the engine's
-//! symbol-domain aggregation is bit-identical to decoding every accepted
-//! payload to an f32 tensor and summing in worker order** — checked every
-//! step, against a decode-then-sum oracle that lives only here, across
-//! codec thread counts and adversarial inputs (all-zero tensors, denormal
-//! scales, single-worker steps, and payloads rejected mid-step).
+//! aggregation is bit-identical to decoding every accepted payload to an
+//! f32 tensor and summing in worker order** — checked every step, against
+//! a decode-then-sum oracle that lives only here, across codec thread
+//! counts, schemes with a symbol form (3LC: summed from decoded symbols)
+//! and without one (Float32, Int8: dense decode, then summed), and
+//! adversarial inputs (all-zero tensors, denormal scales, single-worker
+//! steps, and payloads rejected mid-step).
 //!
 //! The optimizer and pull code after aggregation is shared, so per-step
 //! gradient identity implies model identity.
@@ -23,9 +25,19 @@ use threelc_tensor::Tensor;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-fn config(workers: usize) -> ExperimentConfig {
+/// 3LC takes the symbol-domain branch of the engine's aggregation; the
+/// baselines take the dense-decode branch.
+fn scheme(idx: usize) -> SchemeKind {
+    [
+        SchemeKind::three_lc(1.5),
+        SchemeKind::Float32,
+        SchemeKind::Int8,
+    ][idx]
+}
+
+fn config(scheme: SchemeKind, workers: usize) -> ExperimentConfig {
     ExperimentConfig {
-        scheme: SchemeKind::three_lc(1.5),
+        scheme,
         workers,
         batch_per_worker: 8,
         total_steps: 8,
@@ -81,13 +93,13 @@ fn oracle(
 
 /// Aggregates `payloads` on `server` and demands the oracle's bits.
 fn assert_matches_oracle(
-    server: &mut ServerCore,
+    server: &ServerCore,
     ctxs: &[Vec<Option<Box<dyn Compressor>>>],
     payloads: &[Vec<TensorPayload>],
     accepted: usize,
     step: usize,
 ) -> Result<(), TestCaseError> {
-    let (got, _) = server
+    let got = server
         .aggregate(payloads, accepted)
         .expect("at least one valid push accepted");
     let want = oracle(ctxs, payloads, accepted);
@@ -173,13 +185,14 @@ proptest! {
     /// single-worker steps — and demands the oracle's bits every step.
     #[test]
     fn aggregate_matches_oracle_on_adversarial_pushes(
+        scheme_idx in 0usize..3,
         workers in 1usize..5,
         threads_idx in 0usize..4,
         kinds in prop::collection::vec(0u8..4, 4..5),
         masks in prop::collection::vec(0u32..16, 2..3),
         seed in any::<u64>(),
     ) {
-        let problem = Problem::build(&config(workers));
+        let problem = Problem::build(&config(scheme(scheme_idx), workers));
         let mut server = ServerCore::new(&problem);
         server.set_threads(THREAD_COUNTS[threads_idx]);
         let mirrors: Vec<_> = (0..workers).map(|w| problem.push_ctxs(w)).collect();
@@ -205,7 +218,7 @@ proptest! {
                     accepted += 1;
                 }
             }
-            assert_matches_oracle(&mut server, &mirrors, &payloads, accepted, step)?;
+            assert_matches_oracle(&server, &mirrors, &payloads, accepted, step)?;
             server
                 .apply_step(&payloads, accepted, 0.0)
                 .expect("worker 0 always accepted");
@@ -217,12 +230,13 @@ proptest! {
     /// step's averaged gradient must equal the oracle's bit for bit.
     #[test]
     fn aggregate_matches_oracle_through_training(
+        scheme_idx in 0usize..3,
         threads_idx in 0usize..4,
         drop_step in 0usize..4,
         drop_worker in 0usize..2,
     ) {
         let workers = 2usize;
-        let problem = Problem::build(&config(workers));
+        let problem = Problem::build(&config(scheme(scheme_idx), workers));
         let mut replicas: Vec<WorkerReplica> = (0..workers)
             .map(|w| WorkerReplica::new(&problem, w))
             .collect();
@@ -245,7 +259,7 @@ proptest! {
                 payloads[drop_worker].clear();
                 accepted -= 1;
             }
-            assert_matches_oracle(&mut server, &mirrors, &payloads, accepted, step)?;
+            assert_matches_oracle(&server, &mirrors, &payloads, accepted, step)?;
             let out = server
                 .apply_step(&payloads, accepted, residual)
                 .expect("at most one worker rejected");
